@@ -43,6 +43,11 @@ func main() {
 		traceEv = flag.String("trace-events", "", "write a Chrome trace-event JSON timeline (open in Perfetto) to this file")
 	)
 	flag.Parse()
+	if *rdSize < 1 {
+		fmt.Fprintf(os.Stderr, "dvesim: -rd-entries must be at least 1, got %d\n", *rdSize)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stopCPU, err := perf.StartCPUProfile(*cpuProf)
 	if err != nil {

@@ -1,8 +1,9 @@
-// Package cache provides the set-associative storage arrays used throughout
-// the memory hierarchy: per-core L1s, the per-socket shared LLC, the cached
-// directory, and the Dvé replica directory. It stores per-line coherence
-// state and metadata with LRU replacement, and provides MSHR bookkeeping for
-// in-flight transactions.
+// Package cache provides the storage arrays of the memory hierarchy. Cache
+// is a set-associative array holding per-line coherence state and metadata
+// with LRU replacement, used for the per-core L1s, the per-socket shared LLC
+// and the cached directory. LRUSet is the Dvé replica directory's
+// presence-only store with O(1) LRU replacement. The package also provides
+// MSHR bookkeeping and per-line sequencing for in-flight transactions.
 package cache
 
 import "dve/internal/topology"
@@ -90,8 +91,9 @@ func New(sizeBytes, ways, lineBytes int) *Cache {
 }
 
 // NewFullyAssoc builds a fully associative structure with the given number
-// of entries (used for the replica directory: "fully associative 2K entry
-// structure", Section VI).
+// of entries: one set that every operation scans linearly. It is the
+// reference LRUSet is tested against (the replica directory's "fully
+// associative 2K entry structure", Section VI, is an LRUSet).
 func NewFullyAssoc(entries, lineBytes int) *Cache {
 	c := &Cache{
 		sets:     make([][]Entry, 1),

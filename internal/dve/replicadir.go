@@ -46,10 +46,14 @@ type ReplicaDir struct {
 	socket int
 	mode   Mode
 
-	// store is the fully associative on-chip entry structure (2K entries by
-	// default, Section VI). Under the deny protocol it caches the durable
-	// backing state; under allow it is the only record.
-	store *cache.Cache
+	// store is the on-chip entry structure (2K entries by default,
+	// Section VI): the set of lines holding an entry, with LRU replacement.
+	// It records presence only. Under allow, presence is the read grant;
+	// under deny, it only decides whether an access pays the directory
+	// fetch, because the durable state lives in backing. Silent eviction is
+	// therefore safe in both modes (allow: absence = no; deny: backing holds
+	// the truth).
+	store *cache.LRUSet
 	// backing is the deny protocol's durable per-line state (the in-memory
 	// full directory the cache misses fetch from).
 	backing map[topology.Line]cache.State
@@ -88,7 +92,7 @@ func New(sys *coherence.System, socket int, mode Mode) *ReplicaDir {
 		sys:         sys,
 		socket:      socket,
 		mode:        mode,
-		store:       cache.NewFullyAssoc(cfg.ReplicaDirEntries, cfg.LineSizeBytes),
+		store:       cache.NewLRUSet(cfg.ReplicaDirEntries),
 		backing:     make(map[topology.Line]cache.State),
 		regions:     make(map[uint64]bool),
 		owners:      make(map[topology.Line]bool),
@@ -223,10 +227,11 @@ func (rd *ReplicaDir) LocalGETS(l topology.Line, needData bool, done func(fromRe
 
 func (rd *ReplicaDir) allowGETS(l topology.Line, fin func(bool)) {
 	cnt := rd.sys.Cnts[rd.socket]
-	if e := rd.store.Lookup(l); e != nil {
+	if rd.store.Lookup(l) {
 		cnt.ReplicaDirHits++
-		// S or M entry: the replica (or our own LLC) holds current data.
-		// An M entry here is a degenerate race; serve locally either way.
+		// A read grant or our own ownership record: the replica (or our
+		// own LLC) holds current data. Ownership here is a degenerate
+		// race; serve locally either way.
 		// Mark the fill in flight so home probes defer behind it; this
 		// transaction completes without home involvement, so the deferral
 		// cannot deadlock against the home MSHR.
@@ -280,7 +285,7 @@ func (rd *ReplicaDir) allowLineMiss(l topology.Line, fin func(bool)) {
 			// Grant received: home has serialized us; probes sent by later
 			// home transactions must now wait for our fill.
 			rd.fillPending[l] = nil
-			rd.insertEntry(l, cache.Shared)
+			rd.store.Insert(l)
 			if dataShipped {
 				// Home LLC was dirty: the shipped data is also the replica
 				// update half of the dual writeback.
@@ -328,7 +333,7 @@ func (rd *ReplicaDir) allowRegionMiss(l topology.Line, fin func(bool)) {
 
 func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 	cnt := rd.sys.Cnts[rd.socket]
-	cachedEntry := rd.store.Lookup(l) != nil
+	cachedEntry := rd.store.Lookup(l)
 	var entryLat sim.Cycle
 	spec := false
 	if cachedEntry {
@@ -357,7 +362,7 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 		// writable (an SWMR violation).
 		st, ok := rd.backing[l]
 		if !cachedEntry {
-			rd.insertEntry(l, stOrShared(st, ok))
+			rd.store.Insert(l)
 		}
 		if ok && st == cache.RemoteModified {
 			// Replica is stale: the home LLC holds the line writable.
@@ -369,7 +374,7 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 				rd.home().ReplicaGETS(l, func(dataShipped bool) {
 					rd.fillPending[l] = nil
 					rd.backing[l] = cache.Shared
-					rd.insertEntry(l, cache.Shared)
+					rd.store.Insert(l)
 					if dataShipped {
 						rd.sys.MCs[rd.socket].Write(rd.replicaAddr(l), func() {})
 					}
@@ -394,13 +399,6 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 		}
 		rd.readReplicaMem(l, func() { fin(true) })
 	})
-}
-
-func stOrShared(st cache.State, ok bool) cache.State {
-	if ok {
-		return st
-	}
-	return cache.Shared
 }
 
 // oracleGETS models the oracular allow scheme of Fig 9: infinite entries and
@@ -441,7 +439,7 @@ func (rd *ReplicaDir) LocalGETX(l topology.Line, needData bool, done func()) {
 		}
 		var entryLat sim.Cycle
 		if rd.mode == Deny && !rd.oracular {
-			if rd.store.Lookup(l) == nil {
+			if !rd.store.Lookup(l) {
 				entryLat = rd.dirFetchLat
 			}
 		}
@@ -467,18 +465,10 @@ func (rd *ReplicaDir) recordOwnership(l topology.Line) {
 	if rd.oracular {
 		return
 	}
-	rd.insertEntry(l, cache.Modified)
+	rd.store.Insert(l)
 	if rd.mode == Deny {
 		rd.backing[l] = cache.Modified
 	}
-}
-
-// insertEntry installs a line entry in the on-chip structure; silent
-// eviction of the victim is safe in both modes (allow: absence = no; deny:
-// the durable backing holds the truth).
-func (rd *ReplicaDir) insertEntry(l topology.Line, st cache.State) {
-	e, _, _ := rd.store.Insert(l, st)
-	e.State = st
 }
 
 // LocalPUTM implements coherence.ReplicaAgent: a dirty writeback from this
@@ -552,7 +542,7 @@ func (rd *ReplicaDir) HomeInvalidate(l topology.Line, ack func()) {
 	rd.sys.LLCs[rd.socket].Probe(l, true)
 	if rd.mode == Deny && !rd.oracular {
 		rd.backing[l] = cache.RemoteModified
-		rd.insertEntry(l, cache.RemoteModified)
+		rd.store.Insert(l)
 	} else {
 		rd.store.Invalidate(l)
 		if rd.sys.Cfg.CoarseGrain {
@@ -600,7 +590,7 @@ func (rd *ReplicaDir) HomeFetch(l topology.Line, invalidate bool, ack func()) {
 		if rd.mode == Deny && !rd.oracular {
 			// The home side is taking exclusive access.
 			rd.backing[l] = cache.RemoteModified
-			rd.insertEntry(l, cache.RemoteModified)
+			rd.store.Insert(l)
 		} else {
 			rd.store.Invalidate(l)
 		}
@@ -612,7 +602,7 @@ func (rd *ReplicaDir) HomeFetch(l topology.Line, invalidate bool, ack func()) {
 		if rd.mode == Deny && !rd.oracular {
 			rd.backing[l] = cache.Shared
 		}
-		rd.insertEntry(l, cache.Shared)
+		rd.store.Insert(l)
 	}
 	rd.sys.Engs[rd.socket].Schedule(lat, ack)
 }

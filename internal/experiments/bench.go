@@ -71,7 +71,8 @@ func BenchModes(name string) ([]dve.EngineMode, error) {
 // wall time and MemStats deltas) and the measurements land in a perf.Report
 // ready to be written as BENCH_<scale>.json. Each cell is measured once per
 // requested engine mode (nil means Runner.Engine alone), so one report can
-// hold the serial/parallel comparison. With a cache configured, previously
+// hold the serial/parallel comparison; a cell whose modes all fall back to
+// legacy is measured once. With a cache configured, previously
 // measured cells are replayed from disk instead of re-run.
 func (r Runner) Bench(scaleName string, modes ...dve.EngineMode) (*perf.Report, error) {
 	if len(modes) == 0 {
@@ -84,9 +85,19 @@ func (r Runner) Bench(scaleName string, modes ...dve.EngineMode) (*perf.Report, 
 			return nil, fmt.Errorf("bench: unknown workload %q", c.workload)
 		}
 		cfg := topology.Default(c.protocol)
+		ranLegacy := false
 		for _, mode := range modes {
 			rm := r
 			rm.Engine = mode
+			// Every mode of a cell that falls back to legacy executes
+			// identically (one goroutine, one queue): measure it once, or
+			// the report holds two rows with one identity.
+			if rc := rm.cellConfig(cfg, false); rc.ExecutedEngine() == "legacy" {
+				if ranLegacy {
+					continue
+				}
+				ranLegacy = true
+			}
 			run, err := rm.benchOne(scaleName, spec, cfg, mode)
 			if err != nil {
 				return nil, fmt.Errorf("bench %s/%s/%s: %w", c.workload, c.protocol, mode, err)

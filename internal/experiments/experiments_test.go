@@ -321,6 +321,41 @@ func TestBenchCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBenchRowsUnique: canneal/dynamic falls back to legacy under both the
+// serial and the parallel request, so a naive "-engine both" report would
+// hold two rows with one (workload, protocol, engine, workers) identity,
+// and a baseline check could not tell them apart.
+func TestBenchRowsUnique(t *testing.T) {
+	r := Runner{Scale: Scale{WarmupOps: 500, MeasureOps: 1_000}}
+	modes, err := BenchModes("both")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Bench("tiny", modes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type rowID struct {
+		workload, protocol, engine string
+		workers                    int
+	}
+	seen := map[rowID]bool{}
+	legacy := 0
+	for _, run := range rep.Runs {
+		id := rowID{run.Workload, run.Protocol, run.Engine, run.Workers}
+		if seen[id] {
+			t.Errorf("duplicate bench row %+v", id)
+		}
+		seen[id] = true
+		if run.Engine == "legacy" {
+			legacy++
+		}
+	}
+	if legacy != 1 {
+		t.Errorf("%d legacy rows, want 1 (canneal/dynamic)", legacy)
+	}
+}
+
 func TestFaultCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation matrix")
