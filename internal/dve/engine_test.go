@@ -2,7 +2,13 @@ package dve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"dve/internal/topology"
@@ -57,9 +63,87 @@ func runEngine(t *testing.T, spec workload.Spec, p topology.Protocol, mode Engin
 	return res
 }
 
+// The engine behaviour lock: one SHA-256 per cell over the fingerprint()
+// bytes, keyed "<workload>/<protocol>@<warmup>+<measure>". It pins every
+// engine cell's statistics exactly, so a change to how the engine executes
+// must leave each hash unchanged; regenerating the file is a deliberate act
+// recorded in CHANGES.md:
+//
+//	go test ./internal/dve -run TestEngineEquivalence -update
+const engineGoldenFile = "testdata/engine_golden.json"
+
+func engineGoldenKey(spec workload.Spec, p topology.Protocol, warmup, measure uint64) string {
+	return fmt.Sprintf("%s/%s@%d+%d", spec.Name, p, warmup, measure)
+}
+
+func engineHash(t *testing.T, res *Result) string {
+	t.Helper()
+	sum := sha256.Sum256(fingerprint(t, res))
+	return hex.EncodeToString(sum[:])
+}
+
+// readEngineGolden loads the lock; a missing file reads as empty under
+// -update, so the first run can create it.
+func readEngineGolden(t *testing.T) map[string]string {
+	t.Helper()
+	want := map[string]string{}
+	raw, err := os.ReadFile(engineGoldenFile)
+	if errors.Is(err, os.ErrNotExist) && *updateGolden {
+		return want
+	}
+	if err != nil {
+		t.Fatalf("reading %s (regenerate with -update): %v", engineGoldenFile, err)
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("decoding %s: %v", engineGoldenFile, err)
+	}
+	return want
+}
+
+// checkEngineGolden compares the hashes got (computed at one op budget)
+// against the lock, or merges them into it under -update. complete says
+// every cell of that budget ran, so the file may hold no others.
+func checkEngineGolden(t *testing.T, got map[string]string, warmup, measure uint64, complete bool) {
+	t.Helper()
+	want := readEngineGolden(t)
+	if *updateGolden {
+		for k, v := range got {
+			want[k] = v
+		}
+		b, err := json.MarshalIndent(want, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(engineGoldenFile, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d fingerprints to %s", len(got), engineGoldenFile)
+		return
+	}
+	for k, fp := range got {
+		if w, ok := want[k]; !ok {
+			t.Errorf("%s: no golden fingerprint", k)
+		} else if w != fp {
+			t.Errorf("%s: fingerprint %s, golden %s", k, fp[:12], w[:12])
+		}
+	}
+	if complete {
+		suffix := fmt.Sprintf("@%d+%d", warmup, measure)
+		n := 0
+		for k := range want {
+			if strings.HasSuffix(k, suffix) {
+				n++
+			}
+		}
+		if n != len(got) {
+			t.Errorf("%s holds %d cells at %s, the test runs %d", engineGoldenFile, n, suffix, len(got))
+		}
+	}
+}
+
 // TestEngineEquivalenceMatrix sweeps every Table III workload under every
-// protocol and demands byte-identical results from serial and parallel
-// execution. The per-cell op budget is kept small so the 20×5 matrix stays
+// protocol, demands byte-identical results from serial and parallel
+// execution, and checks them against the engine behaviour lock. The per-cell op budget is kept small so the 20×5 matrix stays
 // a tier-1 test; TestEngineEquivalenceQuickCells covers the full quick
 // scale on a spot-check subset. -short trims the sweep to a diverse corner.
 func TestEngineEquivalenceMatrix(t *testing.T) {
@@ -70,6 +154,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 		specs = specs[:4]
 		protos = []topology.Protocol{topology.ProtoAllow, topology.ProtoDeny}
 	}
+	got := map[string]string{}
 	for _, spec := range specs {
 		for _, p := range protos {
 			spec, p := spec, p
@@ -94,9 +179,11 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 				if !bytes.Equal(fs, fp) {
 					t.Errorf("serial and parallel diverged:\nserial:   %s\nparallel: %s", fs, fp)
 				}
+				got[engineGoldenKey(spec, p, warmup, measure)] = engineHash(t, serial)
 			})
 		}
 	}
+	checkEngineGolden(t, got, warmup, measure, !testing.Short())
 }
 
 // TestEngineEquivalenceQuickCells re-checks the identity at the real Quick
@@ -115,6 +202,8 @@ func TestEngineEquivalenceQuickCells(t *testing.T) {
 		{"graph500", topology.ProtoAllow},
 		{"canneal", topology.ProtoBaseline},
 	}
+	const warmup, measure = 50_000, 120_000
+	got := map[string]string{}
 	for _, c := range cells {
 		c := c
 		t.Run(c.workload+"/"+c.protocol.String(), func(t *testing.T) {
@@ -122,14 +211,16 @@ func TestEngineEquivalenceQuickCells(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown workload %q", c.workload)
 			}
-			serial := runEngine(t, spec, c.protocol, EngineSerial, 50_000, 120_000)
-			par := runEngine(t, spec, c.protocol, EngineParallel, 50_000, 120_000)
+			serial := runEngine(t, spec, c.protocol, EngineSerial, warmup, measure)
+			par := runEngine(t, spec, c.protocol, EngineParallel, warmup, measure)
 			fs, fp := fingerprint(t, serial), fingerprint(t, par)
 			if !bytes.Equal(fs, fp) {
 				t.Errorf("quick cell diverged:\nserial:   %s\nparallel: %s", fs, fp)
 			}
+			got[engineGoldenKey(spec, c.protocol, warmup, measure)] = engineHash(t, serial)
 		})
 	}
+	checkEngineGolden(t, got, warmup, measure, true)
 }
 
 // TestParallelRunTwiceDeterminism runs the same cell twice on the parallel

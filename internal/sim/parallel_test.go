@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -57,6 +60,30 @@ func pingPongTrace(workers int) (trace [2][]traceRec, epochs, stalls uint64) {
 	}
 	pe.Run()
 	return trace, pe.Epochs(), pe.BarrierStalls()
+}
+
+// The ping-pong workload's behaviour lock: its event trace, epoch count and
+// barrier-stall count as recorded when the mailbox merge rule was last
+// changed. Any change to how the partitions execute must reproduce them.
+const (
+	pingPongHash   = "683a2d609657473182b8642d5eb5d6009ee95e742f0cf5d3d227d104c2040921"
+	pingPongEpochs = 89
+	pingPongStalls = 51
+)
+
+// TestPingPongTraceGolden pins the partitioned engine's event order and
+// epoch accounting to the recorded constants.
+func TestPingPongTraceGolden(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		trace, epochs, stalls := pingPongTrace(workers)
+		if got := traceHash(trace); got != pingPongHash {
+			t.Errorf("workers=%d: trace hash %s, want %s", workers, got, pingPongHash)
+		}
+		if epochs != pingPongEpochs || stalls != pingPongStalls {
+			t.Errorf("workers=%d: %d epochs, %d stalls; want %d, %d",
+				workers, epochs, stalls, pingPongEpochs, pingPongStalls)
+		}
+	}
 }
 
 // TestParallelMatchesSerialPartitioned pins the core equivalence claim:
@@ -205,4 +232,16 @@ func TestParallelSteadyStateAllocs(t *testing.T) {
 	if b.delivered == 0 {
 		t.Fatal("no deliveries ran")
 	}
+}
+
+// traceHash is the SHA-256 of a ping-pong trace, one "part when id" line
+// per dispatched event, partition 0's events first.
+func traceHash(trace [2][]traceRec) string {
+	h := sha256.New()
+	for _, recs := range trace {
+		for _, r := range recs {
+			fmt.Fprintf(h, "%d %d %d\n", r.Part, r.When, r.ID)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
