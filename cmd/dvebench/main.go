@@ -28,7 +28,7 @@ func main() {
 		exp      = flag.String("experiment", "all", "table1|fig1|fig6|fig7|fig8|fig9|fig10|energy|faults|verify|bench|all")
 		scale    = flag.String("scale", "standard", "quick|standard|full")
 		parallel = flag.Int("parallel", 8, "concurrent simulations")
-		engine   = flag.String("engine", "", "simulation engine: auto|serial|parallel|legacy; with -experiment bench also \"both\" (the bench default) to measure serial and parallel in one report")
+		engine   = flag.String("engine", "auto", "simulation engine: auto|legacy")
 		jsonOut  = flag.String("json", "", "with -experiment bench: write the perf report to this BENCH_*.json file")
 		check    = flag.String("check", "", "with -experiment bench: compare the fresh run against this committed BENCH_*.json baseline and exit nonzero on regression")
 		checkOps = flag.Float64("check-min-ops", 0.5,
@@ -59,13 +59,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// -engine both only makes sense for bench (one report, two modes);
-	// experiment matrices run under exactly one mode.
-	if *exp != "bench" {
-		r.Engine, err = dve.ParseEngineMode(*engine)
-		if err != nil {
-			fatal(err)
-		}
+	if r.Engine, err = dve.ParseEngineMode(*engine); err != nil {
+		fmt.Fprintln(os.Stderr, "dvebench:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	var store *results.Store
 	if *cacheDir != "" {
@@ -94,11 +91,7 @@ func main() {
 	// bench measures the simulator itself rather than the paper's results;
 	// it is opt-in only (not part of -experiment all).
 	if *exp == "bench" {
-		modes, err := experiments.BenchModes(*engine)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := r.Bench(*scale, modes...)
+		rep, err := r.Bench(*scale)
 		if err != nil {
 			fatal(err)
 		}

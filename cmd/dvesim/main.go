@@ -34,9 +34,7 @@ func main() {
 		coarse  = flag.Bool("coarse", false, "coarse-grain (region) replica directory")
 		oracle  = flag.Bool("oracle", false, "oracular replica directory (Fig 9 ceiling)")
 		baseCmp = flag.Bool("speedup", false, "also run the baseline and report speedup")
-		engineF = flag.String("engine", "auto", "simulation engine: auto|serial|parallel|legacy")
-		serial  = flag.Bool("serial", false, "shorthand for -engine serial")
-		parF    = flag.Bool("parallel", false, "shorthand for -engine parallel")
+		engineF = flag.String("engine", "auto", "simulation engine: auto|legacy")
 		list    = flag.Bool("list", false, "list benchmarks and exit")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
@@ -44,9 +42,11 @@ func main() {
 	)
 	flag.Parse()
 	if *rdSize < 1 {
-		fmt.Fprintf(os.Stderr, "dvesim: -rd-entries must be at least 1, got %d\n", *rdSize)
-		flag.Usage()
-		os.Exit(2)
+		usageError("-rd-entries must be at least 1, got %d", *rdSize)
+	}
+	mode, err := dve.ParseEngineMode(*engineF)
+	if err != nil {
+		usageError("%v", err)
 	}
 
 	stopCPU, err := perf.StartCPUProfile(*cpuProf)
@@ -79,24 +79,13 @@ func main() {
 
 	cfg := topology.Default(p)
 	cfg.InterSocketNs = *linkNs
+	if err := cfg.CheckInterSocket(); err != nil {
+		usageError("bad -link-ns: %v", err)
+	}
 	cfg.ReplicaDirEntries = *rdSize
 	cfg.SpeculativeReads = !*noSpec
 	cfg.CoarseGrain = *coarse
 	cfg.Oracular = *oracle
-
-	mode, err := dve.ParseEngineMode(*engineF)
-	if err != nil {
-		fatal(err)
-	}
-	if *serial && *parF {
-		fatal(fmt.Errorf("-serial and -parallel are mutually exclusive"))
-	}
-	if *serial {
-		mode = dve.EngineSerial
-	}
-	if *parF {
-		mode = dve.EngineParallel
-	}
 
 	rc := dve.RunConfig{Cfg: cfg, WarmupOps: *warmup, MeasureOps: *ops,
 		Engine:   mode,
@@ -153,11 +142,7 @@ func parseProtocol(s string) (topology.Protocol, error) {
 
 func printResult(res *dve.Result) {
 	c := &res.Counters
-	fmt.Printf("workload=%s protocol=%s engine=%s", res.Workload, res.Protocol, res.Engine)
-	if res.Workers > 1 {
-		fmt.Printf(" workers=%d", res.Workers)
-	}
-	fmt.Println()
+	fmt.Printf("workload=%s protocol=%s engine=%s\n", res.Workload, res.Protocol, res.Engine)
 	fmt.Printf("ROI cycles            %d\n", res.Cycles)
 	if res.Counters.EngineEpochs > 0 {
 		fmt.Printf("sync epochs           %d (%d barrier stalls)\n",
@@ -198,6 +183,14 @@ func rate(num, den uint64) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
+}
+
+// usageError reports a bad flag value the way the flag package reports an
+// unknown flag: message, usage, exit status 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dvesim: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -74,8 +74,8 @@ type ReplicaAgent interface {
 // cross-socket channel is the Link's mailbox path.
 type System struct {
 	Engs []*sim.Engine
-	// PE is the parallel engine that owns Engs as its partitions, or nil
-	// when all Engs slots alias one serial engine.
+	// PE is the partitioned engine that owns Engs as its partitions, or nil
+	// when all Engs slots alias one single-queue engine.
 	PE   *sim.ParallelEngine
 	Cfg  *topology.Config
 	AMap *topology.AddrMap
@@ -256,6 +256,11 @@ func NewPartitioned(cfg *topology.Config, pe *sim.ParallelEngine) (*System, erro
 }
 
 func build(cfg *topology.Config, engs []*sim.Engine, cnts []*stats.Counters, pe *sim.ParallelEngine) (*System, error) {
+	// Validate before converting: a negative or NaN latency would wrap to a
+	// huge sim.Cycle and slip past the link's own minimum check.
+	if err := cfg.CheckInterSocket(); err != nil {
+		return nil, fmt.Errorf("coherence: %w", err)
+	}
 	amap := topology.NewAddrMap(cfg)
 	link, err := noc.NewLink([2]*sim.Engine{engs[0], engs[cfg.Sockets-1]}, pe, sim.Cycle(cfg.InterSocketCyc()))
 	if err != nil {

@@ -2,49 +2,43 @@ package dve
 
 import (
 	"fmt"
-	"runtime"
 
 	"dve/internal/topology"
 )
 
-// EngineMode selects how the simulation engine executes a run.
+// EngineMode selects which engine executes a run.
 //
 // The partitioned engine splits the machine at the socket boundary: each
 // socket's events run on their own calendar queue, synchronized at
 // link-latency epochs (conservative lookahead — no cross-socket message
 // can arrive sooner than the link's minimum latency, so partitions may
-// safely run a window of that size without consulting each other). Serial
-// and parallel are the *same* partitioned simulation — they differ only in
-// how many worker goroutines execute the partition queues, and produce
-// byte-identical statistics. Legacy is the original single-queue engine;
-// it interleaves cross-socket events differently (one global tie-break
-// order instead of the mailbox merge rule), so its results are internally
-// consistent but not comparable event-for-event with the partitioned ones.
+// safely run a window of that size without consulting each other). The
+// partitions run one after another on the caller's goroutine. Legacy is the
+// original single-queue engine; it interleaves cross-socket events
+// differently (one global tie-break order instead of the mailbox merge
+// rule), so its results are internally consistent but not comparable
+// event-for-event with the partitioned ones.
 type EngineMode int
 
 const (
-	// EngineAuto partitions when the configuration allows it and uses
-	// worker goroutines when GOMAXPROCS offers real parallelism.
+	// EngineAuto partitions when the configuration allows it (see
+	// partitionable) and falls back to legacy otherwise.
 	EngineAuto EngineMode = iota
-	// EngineSerial runs the partitioned simulation on one goroutine.
-	EngineSerial
-	// EngineParallel runs the partitioned simulation with one worker per
-	// socket even when GOMAXPROCS is 1 (real goroutines, no speedup) —
-	// equivalence and race tests use it to exercise the concurrent path.
-	EngineParallel
 	// EngineLegacy forces the original single-queue engine.
 	EngineLegacy
 )
+
+// EngineSerial is the old name of the one partitioned execution.
+//
+// Deprecated: the partitioned engine always runs on one goroutine now; use
+// EngineAuto.
+const EngineSerial = EngineAuto
 
 // String returns the flag spelling of the mode.
 func (m EngineMode) String() string {
 	switch m {
 	case EngineAuto:
 		return "auto"
-	case EngineSerial:
-		return "serial"
-	case EngineParallel:
-		return "parallel"
 	case EngineLegacy:
 		return "legacy"
 	default:
@@ -59,14 +53,10 @@ func ParseEngineMode(s string) (EngineMode, error) {
 	switch s {
 	case "", "auto":
 		return EngineAuto, nil
-	case "serial":
-		return EngineSerial, nil
-	case "parallel":
-		return EngineParallel, nil
 	case "legacy":
 		return EngineLegacy, nil
 	}
-	return EngineAuto, fmt.Errorf("dve: unknown engine mode %q (want auto, serial, parallel or legacy)", s)
+	return EngineAuto, fmt.Errorf("dve: unknown engine mode %q (want auto or legacy)", s)
 }
 
 // partitionable reports whether the run can use the per-socket partitioned
@@ -76,14 +66,15 @@ func ParseEngineMode(s string) (EngineMode, error) {
 //   - fault injection, Prepare hooks and RAS campaigns mutate shared fault
 //     state from arbitrary sockets;
 //   - patrol scrubbing walks every socket's directory from one daemon;
-//   - external op sources are not required to be concurrency-safe;
+//   - external op sources may keep state shared across threads, which
+//     would observe the order the partitions run in;
 //   - the flexible replica map is consulted from both sockets;
 //   - the dynamic protocol's controller samples a global clock;
 //   - the oracular replica directory reads remote directory state with
 //     zero latency (a direct cross-partition peek).
 //
 // Such runs silently use the legacy engine instead — same results as every
-// release to date, just without the parallel speedup.
+// release to date.
 func partitionable(rc *RunConfig, cfg *topology.Config) bool {
 	return cfg.Sockets == 2 &&
 		cfg.InterSocketCyc() >= 1 &&
@@ -98,38 +89,19 @@ func partitionable(rc *RunConfig, cfg *topology.Config) bool {
 		rc.ReplicaMap == nil
 }
 
-// resolveEngine decides the executed engine for a requested mode: whether
-// to partition, and with how many worker goroutines.
-func resolveEngine(mode EngineMode, rc *RunConfig, cfg *topology.Config) (partitioned bool, workers int) {
-	if mode == EngineLegacy || !partitionable(rc, cfg) {
-		return false, 1
-	}
-	switch mode {
-	case EngineParallel:
-		return true, cfg.Sockets
-	case EngineSerial:
-		return true, 1
-	case EngineAuto, EngineLegacy:
-		// Legacy was diverted above; auto partitions and spends worker
-		// goroutines only when the host scheduler can actually run them
-		// concurrently (on one CPU they would just add handoff latency).
-		if runtime.GOMAXPROCS(0) > 1 {
-			return true, cfg.Sockets
-		}
-		return true, 1
-	default:
-		panic(fmt.Sprintf("dve: invalid EngineMode %d", int(mode)))
-	}
+// resolveEngine decides whether a requested mode runs partitioned.
+func resolveEngine(mode EngineMode, rc *RunConfig, cfg *topology.Config) (partitioned bool) {
+	return mode != EngineLegacy && partitionable(rc, cfg)
 }
 
 // ExecutedEngine reports the engine family a RunConfig will execute:
 // "partitioned" or "legacy". Cache keys use this label rather than the
-// requested mode because serial and parallel execution of the partitioned
-// engine produce byte-identical results (one universe), while legacy is a
-// separate one.
+// requested mode because auto on a configuration that cannot partition
+// executes exactly what legacy does, while partitioned and legacy runs are
+// separate statistics universes.
 func (rc *RunConfig) ExecutedEngine() string {
 	cfg := rc.Cfg
-	if partitioned, _ := resolveEngine(rc.Engine, rc, &cfg); partitioned {
+	if resolveEngine(rc.Engine, rc, &cfg) {
 		return "partitioned"
 	}
 	return "legacy"

@@ -1,7 +1,6 @@
 package dve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -15,25 +14,23 @@ import (
 	"dve/internal/workload"
 )
 
-// Cross-engine equivalence: the partitioned engine (serial or parallel) is a
-// different *execution* of the same simulation, so it must be byte-identical
-// to itself regardless of worker count, and the legacy fallback must engage
-// exactly when documented. These tests are the contract that lets cache keys
-// treat "partitioned" as one universe.
+// Engine equivalence: every engine cell must reproduce the statistics
+// recorded in the engine behaviour lock byte for byte, and the legacy
+// fallback must engage exactly when documented. These tests are the contract
+// that lets cache keys treat "partitioned" as one universe.
 
 // equivProtocols is every protocol family. Dynamic is included on purpose:
-// it is not partitionable, so both legs fall back to legacy — the identity
-// then pins that the fallback itself is deterministic.
+// it is not partitionable and falls back to legacy, so its cells pin that
+// the fallback itself is deterministic.
 var equivProtocols = []topology.Protocol{
 	topology.ProtoBaseline, topology.ProtoAllow, topology.ProtoDeny,
 	topology.ProtoDynamic, topology.ProtoIntelMirror,
 }
 
-// fingerprint reduces a run to the bytes that must match across engine
-// executions: the ROI length, the executed engine label, the full counter
-// set, and the telemetry snapshot (the CountersSnapshot view that cache
-// envelopes and sweep reports carry). Workers is deliberately excluded —
-// it is host-side cost metadata, the one field allowed to differ.
+// fingerprint reduces a run to the bytes the engine lock pins: the ROI
+// length, the executed engine label, the full counter set, and the
+// telemetry snapshot (the CountersSnapshot view that cache envelopes and
+// sweep reports carry). Workers is host-side metadata and excluded.
 func fingerprint(t *testing.T, res *Result) []byte {
 	t.Helper()
 	b, err := json.Marshal(struct {
@@ -48,26 +45,28 @@ func fingerprint(t *testing.T, res *Result) []byte {
 	return b
 }
 
-func runEngine(t *testing.T, spec workload.Spec, p topology.Protocol, mode EngineMode, warmup, measure uint64) *Result {
+// runEngine runs one cell under the default engine selection.
+func runEngine(t *testing.T, spec workload.Spec, p topology.Protocol, warmup, measure uint64) *Result {
 	t.Helper()
 	res, err := Run(spec, RunConfig{
 		Cfg:        topology.Default(p),
 		WarmupOps:  warmup,
 		MeasureOps: measure,
-		Engine:     mode,
 		Classify:   p == topology.ProtoBaseline,
 	})
 	if err != nil {
-		t.Fatalf("%s/%s/%s: %v", spec.Name, p, mode, err)
+		t.Fatalf("%s/%s: %v", spec.Name, p, err)
 	}
 	return res
 }
 
 // The engine behaviour lock: one SHA-256 per cell over the fingerprint()
-// bytes, keyed "<workload>/<protocol>@<warmup>+<measure>". It pins every
-// engine cell's statistics exactly, so a change to how the engine executes
-// must leave each hash unchanged; regenerating the file is a deliberate act
-// recorded in CHANGES.md:
+// bytes, keyed "<workload>/<protocol>@<warmup>+<measure>". It was recorded
+// while the partitioned engine could also run on worker goroutines, with
+// both executions agreeing on every cell. It pins every cell's statistics
+// exactly, so a change to how the engine executes must leave each hash
+// unchanged; regenerating the file is a deliberate act recorded in
+// CHANGES.md:
 //
 //	go test ./internal/dve -run TestEngineEquivalence -update
 const engineGoldenFile = "testdata/engine_golden.json"
@@ -142,10 +141,10 @@ func checkEngineGolden(t *testing.T, got map[string]string, warmup, measure uint
 }
 
 // TestEngineEquivalenceMatrix sweeps every Table III workload under every
-// protocol, demands byte-identical results from serial and parallel
-// execution, and checks them against the engine behaviour lock. The per-cell op budget is kept small so the 20×5 matrix stays
-// a tier-1 test; TestEngineEquivalenceQuickCells covers the full quick
-// scale on a spot-check subset. -short trims the sweep to a diverse corner.
+// protocol and checks each cell against the engine behaviour lock. The
+// per-cell op budget is kept small so the 20×5 matrix stays a tier-1 test;
+// TestEngineEquivalenceQuickCells covers the full quick scale on a
+// spot-check subset. -short trims the sweep to a diverse corner.
 func TestEngineEquivalenceMatrix(t *testing.T) {
 	specs := workload.Suite(16)
 	protos := equivProtocols
@@ -159,34 +158,22 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 		for _, p := range protos {
 			spec, p := spec, p
 			t.Run(spec.Name+"/"+p.String(), func(t *testing.T) {
-				serial := runEngine(t, spec, p, EngineSerial, warmup, measure)
-				par := runEngine(t, spec, p, EngineParallel, warmup, measure)
+				res := runEngine(t, spec, p, warmup, measure)
+				want := "partitioned"
 				if p == topology.ProtoDynamic {
-					// Not partitionable: both legs must have fallen back.
-					if serial.Engine != "legacy" || par.Engine != "legacy" {
-						t.Fatalf("dynamic ran on %s/%s, want legacy fallback",
-							serial.Engine, par.Engine)
-					}
-				} else {
-					if serial.Engine != "partitioned" || par.Engine != "partitioned" {
-						t.Fatalf("engines %s/%s, want partitioned", serial.Engine, par.Engine)
-					}
-					if par.Workers <= 1 {
-						t.Fatalf("parallel ran with %d workers", par.Workers)
-					}
+					want = "legacy" // not partitionable
 				}
-				fs, fp := fingerprint(t, serial), fingerprint(t, par)
-				if !bytes.Equal(fs, fp) {
-					t.Errorf("serial and parallel diverged:\nserial:   %s\nparallel: %s", fs, fp)
+				if res.Engine != want {
+					t.Fatalf("ran on %s, want %s", res.Engine, want)
 				}
-				got[engineGoldenKey(spec, p, warmup, measure)] = engineHash(t, serial)
+				got[engineGoldenKey(spec, p, warmup, measure)] = engineHash(t, res)
 			})
 		}
 	}
 	checkEngineGolden(t, got, warmup, measure, !testing.Short())
 }
 
-// TestEngineEquivalenceQuickCells re-checks the identity at the real Quick
+// TestEngineEquivalenceQuickCells checks the lock at the real Quick
 // experiment scale (the scale CI's bench smoke and the cached sweeps run
 // at) on a contrasting subset, so a divergence that only opens up beyond
 // the matrix test's small budget still gets caught.
@@ -211,40 +198,16 @@ func TestEngineEquivalenceQuickCells(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown workload %q", c.workload)
 			}
-			serial := runEngine(t, spec, c.protocol, EngineSerial, warmup, measure)
-			par := runEngine(t, spec, c.protocol, EngineParallel, warmup, measure)
-			fs, fp := fingerprint(t, serial), fingerprint(t, par)
-			if !bytes.Equal(fs, fp) {
-				t.Errorf("quick cell diverged:\nserial:   %s\nparallel: %s", fs, fp)
-			}
-			got[engineGoldenKey(spec, c.protocol, warmup, measure)] = engineHash(t, serial)
+			res := runEngine(t, spec, c.protocol, warmup, measure)
+			got[engineGoldenKey(spec, c.protocol, warmup, measure)] = engineHash(t, res)
 		})
 	}
 	checkEngineGolden(t, got, warmup, measure, true)
 }
 
-// TestParallelRunTwiceDeterminism runs the same cell twice on the parallel
-// engine and demands byte-identical results: worker goroutines may race the
-// host scheduler, but the mailbox merge rule (when, src, send order) makes
-// the simulation's event order — and so every statistic — a pure function
-// of the inputs. The race CI job runs this test under -race, which turns
-// any unsynchronized cross-partition access into a hard failure.
-func TestParallelRunTwiceDeterminism(t *testing.T) {
-	spec := smallSpec("graph500")
-	first := runEngine(t, spec, topology.ProtoDeny, EngineParallel, 20_000, 60_000)
-	second := runEngine(t, spec, topology.ProtoDeny, EngineParallel, 20_000, 60_000)
-	f1, f2 := fingerprint(t, first), fingerprint(t, second)
-	if !bytes.Equal(f1, f2) {
-		t.Errorf("parallel run not reproducible:\nfirst:  %s\nsecond: %s", f1, f2)
-	}
-	if first.Counters.EngineEpochs == 0 {
-		t.Error("partitioned run recorded no sync epochs")
-	}
-}
-
 // TestLegacyFallbackConfigs pins the partitionable() contract: each
-// disqualifying feature forces the legacy engine even when parallel was
-// requested, and the pre-run ExecutedEngine prediction (which cache keys
+// disqualifying feature forces the legacy engine under the default engine
+// selection, and the pre-run ExecutedEngine prediction (which cache keys
 // rely on) agrees with what actually executed.
 func TestLegacyFallbackConfigs(t *testing.T) {
 	cases := []struct {
@@ -265,7 +228,7 @@ func TestLegacyFallbackConfigs(t *testing.T) {
 				Cfg:        topology.Default(topology.ProtoDeny),
 				WarmupOps:  2_000,
 				MeasureOps: 5_000,
-				Engine:     EngineParallel,
+				Engine:     EngineAuto,
 			}
 			c.mut(&rc)
 			if got := rc.ExecutedEngine(); got != "legacy" {
@@ -278,30 +241,33 @@ func TestLegacyFallbackConfigs(t *testing.T) {
 			if res.Engine != "legacy" {
 				t.Fatalf("executed on %q, want legacy", res.Engine)
 			}
-			if res.Workers != 1 {
-				t.Fatalf("legacy fallback used %d workers", res.Workers)
-			}
 		})
 	}
-	// And the positive case: a plain deny run on the parallel engine is
-	// predicted and executed as partitioned.
+	// And the positive case: a plain deny run is predicted as partitioned.
 	rc := RunConfig{Cfg: topology.Default(topology.ProtoDeny), WarmupOps: 2_000,
-		MeasureOps: 5_000, Engine: EngineParallel}
+		MeasureOps: 5_000, Engine: EngineAuto}
 	if got := rc.ExecutedEngine(); got != "partitioned" {
 		t.Fatalf("ExecutedEngine() = %q, want partitioned", got)
 	}
 }
 
-// TestParseEngineModeRoundTrip pins flag spellings.
+// TestParseEngineModeRoundTrip pins flag spellings: auto and legacy are the
+// only engines, and the retired worker-goroutine spellings are rejected
+// with the list of valid values.
 func TestParseEngineModeRoundTrip(t *testing.T) {
-	for _, m := range []EngineMode{EngineAuto, EngineSerial, EngineParallel, EngineLegacy} {
+	for _, m := range []EngineMode{EngineAuto, EngineLegacy} {
 		got, err := ParseEngineMode(m.String())
 		if err != nil || got != m {
 			t.Errorf("ParseEngineMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	if _, err := ParseEngineMode("warp-drive"); err == nil {
-		t.Error("bogus mode accepted")
+	for _, bad := range []string{"warp-drive", "serial", "parallel", "both"} {
+		_, err := ParseEngineMode(bad)
+		if err == nil {
+			t.Errorf("mode %q accepted", bad)
+		} else if !strings.Contains(err.Error(), "want auto or legacy") {
+			t.Errorf("mode %q: error %q does not list the valid values", bad, err)
+		}
 	}
 	if m, err := ParseEngineMode(""); err != nil || m != EngineAuto {
 		t.Errorf("empty mode = %v, %v; want auto", m, err)

@@ -68,14 +68,13 @@ type Result struct {
 	Protocol topology.Protocol
 	// Engine records the engine that actually executed the run: "legacy"
 	// (single global event queue) or "partitioned" (per-socket queues with
-	// link-latency lookahead). Serial and parallel execution of the
-	// partitioned engine produce byte-identical results, so they share the
-	// label; legacy orders cross-socket ties differently and is a distinct
-	// statistics universe.
+	// link-latency lookahead). Legacy orders cross-socket ties differently
+	// and is a distinct statistics universe.
 	Engine string
-	// Workers is how many goroutines executed the engine (1 for legacy and
-	// serial partitioned runs). It never affects the statistics — only the
-	// host-side cost — and perf reports record it next to wall time.
+	// Workers is how many goroutines executed the engine: always 1, since
+	// both engines run on the caller's goroutine.
+	//
+	// Deprecated: kept for callers that still read it.
 	Workers int
 	// Cycles is the region-of-interest duration.
 	Cycles uint64
@@ -103,15 +102,15 @@ const barrierLatency = 100
 // partitioned engine runs one group per socket, each touching only its own
 // partition's engine and counter shard.
 type group struct {
-	r       *runner
-	id      int // socket index (0 in legacy single-group mode)
-	eng     *sim.Engine
-	cnt     *stats.Counters
-	nthr    int // threads in this group
-	budget  uint64
-	warmup  uint64
-	ops     uint64
-	inROI   bool
+	r         *runner
+	id        int // socket index (0 in legacy single-group mode)
+	eng       *sim.Engine
+	cnt       *stats.Counters
+	nthr      int // threads in this group
+	budget    uint64
+	warmup    uint64
+	ops       uint64
+	inROI     bool
 	roiStart  sim.Cycle
 	roiCycles uint64
 
@@ -181,7 +180,7 @@ func Run(spec workload.Spec, rc RunConfig) (*Result, error) {
 	if cfg.FootprintHintLines == 0 && spec.FootprintMB > 0 && cfg.LineSizeBytes > 0 {
 		cfg.FootprintHintLines = spec.FootprintMB << 20 / cfg.LineSizeBytes
 	}
-	partitioned, workers := resolveEngine(rc.Engine, &rc, &cfg)
+	partitioned := resolveEngine(rc.Engine, &rc, &cfg)
 	var (
 		sys *coherence.System
 		pe  *sim.ParallelEngine
@@ -192,7 +191,6 @@ func Run(spec workload.Spec, rc RunConfig) (*Result, error) {
 		// distance: one serialization cycle plus the propagation latency.
 		window := sim.Cycle(cfg.InterSocketCyc()) + 1
 		pe = sim.NewParallelEngine(cfg.Sockets, window)
-		pe.SetWorkers(workers)
 		sys, err = coherence.NewPartitioned(&cfg, pe)
 	} else {
 		sys, err = coherence.New(&cfg)
@@ -271,7 +269,7 @@ func Run(spec workload.Spec, rc RunConfig) (*Result, error) {
 		Workload:            spec.Name,
 		Protocol:            cfg.Protocol,
 		Engine:              engine,
-		Workers:             workers,
+		Workers:             1,
 		Cycles:              roiCycles,
 		Counters:            sys.Counters(),
 		InvariantViolations: sys.CheckInvariants(),
@@ -291,7 +289,7 @@ func Run(spec workload.Spec, rc RunConfig) (*Result, error) {
 	}
 	if pe != nil {
 		// Whole-run epoch accounting (deterministic: both are pure
-		// functions of the event trace, independent of the worker count).
+		// functions of the event trace).
 		res.Counters.EngineEpochs = pe.Epochs()
 		res.Counters.EngineBarrierStalls = pe.BarrierStalls()
 	}

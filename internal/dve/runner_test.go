@@ -1,6 +1,8 @@
 package dve
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"dve/internal/topology"
@@ -31,6 +33,25 @@ func runSmall(t *testing.T, name string, p topology.Protocol) *Result {
 		t.Fatalf("Run(%s,%v): zero ROI cycles", name, p)
 	}
 	return res
+}
+
+// TestRunRejectsBadLinkLatency: a link latency that is not a finite number
+// of at least one cycle, or that overflows the cycle counter, is a
+// configuration error. Before the check, -5 ns wrapped to a huge cycle
+// count and panicked mid-run, and NaN hung.
+func TestRunRejectsBadLinkLatency(t *testing.T) {
+	for _, ns := range []float64{-5, 0, math.NaN(), math.Inf(1), 1e300} {
+		for _, mode := range []EngineMode{EngineAuto, EngineLegacy} {
+			cfg := topology.Default(topology.ProtoDeny)
+			cfg.InterSocketNs = ns
+			_, err := Run(smallSpec("fft"), RunConfig{Cfg: cfg, MeasureOps: 1_000, Engine: mode})
+			if err == nil {
+				t.Errorf("link %v ns on %s: run succeeded, want an error", ns, mode)
+			} else if !strings.Contains(err.Error(), "inter-socket latency") {
+				t.Errorf("link %v ns on %s: error %q does not name the latency", ns, mode, err)
+			}
+		}
+	}
 }
 
 func TestRunCompletesAllProtocols(t *testing.T) {

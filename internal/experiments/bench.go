@@ -41,76 +41,38 @@ type benchKey struct {
 	GoVersion  string          `json:"go_version"`
 	GOOS       string          `json:"goos"`
 	GOARCH     string          `json:"goarch"`
-	// Engine is the *requested* mode ("serial", "parallel", ...), not the
-	// executed family: serial and parallel produce identical simulation
-	// results but different wall times, and wall time is what a bench
-	// entry caches.
+	// Engine is the requested mode ("auto" or "legacy").
 	Engine string `json:"engine"`
-	// GOMAXPROCS joins the key because the parallel engine's wall time is
-	// a function of how many CPUs the host scheduler offers.
+	// GOMAXPROCS joins the key because wall time still depends on how many
+	// CPUs the host scheduler offers: the garbage collector's background
+	// workers run beside the single simulation goroutine.
 	GOMAXPROCS int `json:"gomaxprocs"`
-}
-
-// BenchModes resolves a dvebench -engine flag value into the engine modes
-// one bench report measures. "both" (the default) runs every cell under the
-// serial and the parallel partitioned engine back-to-back, so the report
-// itself shows what the worker goroutines cost or save on this host.
-func BenchModes(name string) ([]dve.EngineMode, error) {
-	if name == "" || name == "both" {
-		return []dve.EngineMode{dve.EngineSerial, dve.EngineParallel}, nil
-	}
-	m, err := dve.ParseEngineMode(name)
-	if err != nil {
-		return nil, err
-	}
-	return []dve.EngineMode{m}, nil
 }
 
 // Bench measures the simulator's own performance: each matrix cell runs
 // serially under perf.Measure (parallel runs would pollute each other's
-// wall time and MemStats deltas) and the measurements land in a perf.Report
-// ready to be written as BENCH_<scale>.json. Each cell is measured once per
-// requested engine mode (nil means Runner.Engine alone), so one report can
-// hold the serial/parallel comparison; a cell whose modes all fall back to
-// legacy is measured once. With a cache configured, previously
-// measured cells are replayed from disk instead of re-run.
-func (r Runner) Bench(scaleName string, modes ...dve.EngineMode) (*perf.Report, error) {
-	if len(modes) == 0 {
-		modes = []dve.EngineMode{r.Engine}
-	}
+// wall time and MemStats deltas) under r.Engine, and the measurements land
+// in a perf.Report ready to be written as BENCH_<scale>.json, one row per
+// cell. With a cache configured, previously measured cells are replayed
+// from disk instead of re-run.
+func (r Runner) Bench(scaleName string) (*perf.Report, error) {
 	rep := perf.NewReport(scaleName)
 	for _, c := range benchMatrix {
 		spec, ok := workload.ByName(c.workload, 16)
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown workload %q", c.workload)
 		}
-		cfg := topology.Default(c.protocol)
-		ranLegacy := false
-		for _, mode := range modes {
-			rm := r
-			rm.Engine = mode
-			// Every mode of a cell that falls back to legacy executes
-			// identically (one goroutine, one queue): measure it once, or
-			// the report holds two rows with one identity.
-			if rc := rm.cellConfig(cfg, false); rc.ExecutedEngine() == "legacy" {
-				if ranLegacy {
-					continue
-				}
-				ranLegacy = true
-			}
-			run, err := rm.benchOne(scaleName, spec, cfg, mode)
-			if err != nil {
-				return nil, fmt.Errorf("bench %s/%s/%s: %w", c.workload, c.protocol, mode, err)
-			}
-			rep.Add(run)
+		run, err := r.benchOne(scaleName, spec, topology.Default(c.protocol))
+		if err != nil {
+			return nil, fmt.Errorf("bench %s/%s: %w", c.workload, c.protocol, err)
 		}
+		rep.Add(run)
 	}
 	return rep, nil
 }
 
-// benchOne measures (or replays from cache) one workload/protocol cell
-// under one engine mode.
-func (r Runner) benchOne(scaleName string, spec workload.Spec, cfg topology.Config, mode dve.EngineMode) (perf.Run, error) {
+// benchOne measures (or replays from cache) one workload/protocol cell.
+func (r Runner) benchOne(scaleName string, spec workload.Spec, cfg topology.Config) (perf.Run, error) {
 	var key results.Key
 	if r.Cache != nil {
 		k, err := results.HashKey("bench", benchKey{
@@ -122,7 +84,7 @@ func (r Runner) benchOne(scaleName string, spec workload.Spec, cfg topology.Conf
 			GoVersion:  runtime.Version(),
 			GOOS:       runtime.GOOS,
 			GOARCH:     runtime.GOARCH,
-			Engine:     mode.String(),
+			Engine:     r.Engine.String(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 		})
 		if err != nil {
@@ -147,7 +109,6 @@ func (r Runner) benchOne(scaleName string, spec workload.Spec, cfg topology.Conf
 		return perf.Run{}, err
 	}
 	run.Engine = res.Engine
-	run.Workers = res.Workers
 	if r.Cache != nil {
 		if err := r.Cache.Put(key, run); err != nil {
 			return perf.Run{}, err
@@ -167,9 +128,6 @@ func FormatBench(rep *perf.Report) string {
 		eng := r.Engine
 		if eng == "" {
 			eng = "legacy" // pre-schema-2 cached entries
-		}
-		if r.Workers > 1 {
-			eng = fmt.Sprintf("%s/%dw", eng, r.Workers)
 		}
 		fmt.Fprintf(&b, "%-12s %-14s %-14s %10.1f %12.0f %12.2f %12.1f\n",
 			r.Workload, r.Protocol, eng, r.WallMS, r.OpsPerSec/1e3, r.AllocsPerOp, r.BytesPerOp)

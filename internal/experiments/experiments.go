@@ -58,8 +58,7 @@ type Runner struct {
 	Parallelism int
 	// Engine selects the simulation engine for every cell (see
 	// dve.EngineMode). The default, dve.EngineAuto, partitions per socket
-	// when the configuration allows it and uses worker goroutines when
-	// GOMAXPROCS offers real parallelism.
+	// when the configuration allows it.
 	Engine dve.EngineMode
 	// Workloads restricts the benchmark set (nil = the full Table III
 	// suite). Unknown names are an error, not a silent shrink: a typo must
@@ -141,9 +140,10 @@ func (r Runner) runOne(spec workload.Spec, cfg topology.Config, classify bool) (
 
 // CellKey returns the content address of one simulation cell at the
 // runner's scale: the hash of everything the result is a function of. The
-// key carries the *executed* engine family, not the requested mode: serial
-// and parallel partitioned runs are byte-identical (one cache entry serves
-// both), while legacy results live in their own universe.
+// key carries the *executed* engine family, not the requested mode: an auto
+// run that cannot partition executes exactly what a legacy run does (one
+// cache entry serves both), while partitioned results live in their own
+// universe.
 func (r Runner) CellKey(spec workload.Spec, cfg topology.Config, classify bool) (results.Key, error) {
 	rc := r.cellConfig(cfg, classify)
 	return results.CellKey{

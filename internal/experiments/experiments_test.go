@@ -321,28 +321,23 @@ func TestBenchCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBenchRowsUnique: canneal/dynamic falls back to legacy under both the
-// serial and the parallel request, so a naive "-engine both" report would
-// hold two rows with one (workload, protocol, engine, workers) identity,
-// and a baseline check could not tell them apart.
+// TestBenchRowsUnique: a bench report holds one row per matrix cell, so a
+// baseline check can tell every row apart by (workload, protocol, engine).
+// canneal/dynamic cannot partition and is the one legacy row.
 func TestBenchRowsUnique(t *testing.T) {
 	r := Runner{Scale: Scale{WarmupOps: 500, MeasureOps: 1_000}}
-	modes, err := BenchModes("both")
+	rep, err := r.Bench("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Bench("tiny", modes...)
-	if err != nil {
-		t.Fatal(err)
+	if len(rep.Runs) != len(benchMatrix) {
+		t.Errorf("%d bench rows for %d cells", len(rep.Runs), len(benchMatrix))
 	}
-	type rowID struct {
-		workload, protocol, engine string
-		workers                    int
-	}
+	type rowID struct{ workload, protocol, engine string }
 	seen := map[rowID]bool{}
 	legacy := 0
 	for _, run := range rep.Runs {
-		id := rowID{run.Workload, run.Protocol, run.Engine, run.Workers}
+		id := rowID{run.Workload, run.Protocol, run.Engine}
 		if seen[id] {
 			t.Errorf("duplicate bench row %+v", id)
 		}

@@ -75,7 +75,7 @@ func (m *Mesh) HomeTile() int { return m.Tiles() / 2 }
 // one engine and delivery degenerates to the classic direct schedule. The
 // minimum one-way cost of any message is one serialization cycle plus the
 // propagation latency, which is exactly the conservative lookahead window
-// the parallel engine synchronizes on (see Link.MinLatency).
+// the partitioned engine synchronizes on (see Link.MinLatency).
 type Link struct {
 	engs    [2]*sim.Engine
 	pe      *sim.ParallelEngine
@@ -84,8 +84,8 @@ type Link struct {
 	// can start serializing a new message.
 	nextFree [2]sim.Cycle
 
-	// Traffic counters, split by sending socket so each partition's worker
-	// touches only its own slot; Msgs/Bytes report the totals.
+	// Traffic counters, split by sending socket so each partition touches
+	// only its own slot; Msgs/Bytes report the totals.
 	msgs  [2]uint64
 	bytes [2]uint64
 
@@ -98,10 +98,11 @@ type Link struct {
 }
 
 // NewLink creates the inter-socket link. engs holds the per-socket engines
-// (both slots may alias one engine for a serial run); pe, when non-nil, is
-// the parallel engine whose mailbox carries cross-socket deliveries. The
-// latency must be at least one cycle: a zero-latency link would make the
-// lookahead window degenerate (and models no physical interconnect).
+// (both slots may alias one engine for a single-queue run); pe, when
+// non-nil, is the partitioned engine whose mailbox carries cross-socket
+// deliveries. The latency must be at least one cycle: a zero-latency link
+// would make the lookahead window degenerate (and models no physical
+// interconnect).
 func NewLink(engs [2]*sim.Engine, pe *sim.ParallelEngine, latency sim.Cycle) (*Link, error) {
 	if engs[0] == nil || engs[1] == nil {
 		return nil, fmt.Errorf("noc: link needs an engine per socket")
@@ -117,7 +118,7 @@ func (l *Link) Latency() sim.Cycle { return l.latency }
 
 // MinLatency returns the minimum sender-to-delivery distance of any message:
 // one serialization cycle plus the propagation latency. This is the bound
-// the parallel engine may use as its epoch lookahead window.
+// the partitioned engine may use as its epoch lookahead window.
 func (l *Link) MinLatency() sim.Cycle { return l.latency + 1 }
 
 // deliveryTime reserves the src->dst direction for the message and returns

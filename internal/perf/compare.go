@@ -5,8 +5,9 @@ package perf
 // adds per-op allocations fails CI instead of landing silently. Throughput
 // is host-dependent (CI machines differ from the one that wrote the
 // baseline), so its tolerance is deliberately loose and configurable;
-// allocations per op come from a deterministic simulation and are compared
-// tightly.
+// allocations per op are compared tightly. Simulated ops and ROI cycles are
+// pure functions of the inputs, so any difference from the baseline is a
+// behaviour change and is reported whatever the tolerance.
 
 import (
 	"encoding/json"
@@ -73,8 +74,7 @@ type Regression struct {
 	Workload string
 	Protocol string
 	Engine   string
-	Workers  int
-	Metric   string // "ops_per_sec" | "allocs_per_op" | "missing"
+	Metric   string // "cycles" | "ops" | "ops_per_sec" | "allocs_per_op" | "missing"
 	Baseline float64
 	Fresh    float64
 	Limit    float64
@@ -83,26 +83,30 @@ type Regression struct {
 func (r Regression) String() string {
 	id := fmt.Sprintf("%s/%s", r.Workload, r.Protocol)
 	if r.Engine != "" {
-		id += fmt.Sprintf(" (%s×%d)", r.Engine, r.Workers)
+		id += fmt.Sprintf(" (%s)", r.Engine)
 	}
-	if r.Metric == "missing" {
+	switch r.Metric {
+	case "missing":
 		return fmt.Sprintf("%s: present in baseline but not in the fresh run", id)
+	case "cycles", "ops":
+		return fmt.Sprintf("%s: %s %.0f vs baseline %.0f (must match exactly)",
+			id, r.Metric, r.Fresh, r.Baseline)
 	}
 	return fmt.Sprintf("%s: %s %.3g vs baseline %.3g (limit %.3g)",
 		id, r.Metric, r.Fresh, r.Baseline, r.Limit)
 }
 
-// runKey identifies a run across reports. Workers is part of the identity:
-// serial and parallel measurements of the same cell are separate series.
+// runKey identifies a run across reports.
 func runKey(r Run) string {
-	return fmt.Sprintf("%s|%s|%s|%d", r.Workload, r.Protocol, r.Engine, r.Workers)
+	return fmt.Sprintf("%s|%s|%s", r.Workload, r.Protocol, r.Engine)
 }
 
 // Compare checks every baseline run against its counterpart in fresh and
 // returns the regressions in deterministic order (empty = within
-// tolerance). Runs present only in fresh are ignored — new coverage is not
-// a regression; runs missing from fresh are reported, so a bench matrix
-// cannot silently shrink past the check.
+// tolerance). Cycles and ops must match the baseline exactly. Runs present
+// only in fresh are ignored — new coverage is not a regression; runs
+// missing from fresh are reported, so a bench matrix cannot silently shrink
+// past the check.
 func Compare(baseline, fresh *Report, tol Tolerance) []Regression {
 	byKey := make(map[string]Run, len(fresh.Runs))
 	for _, r := range fresh.Runs {
@@ -111,33 +115,30 @@ func Compare(baseline, fresh *Report, tol Tolerance) []Regression {
 	var regs []Regression
 	for _, base := range baseline.Runs {
 		f, ok := byKey[runKey(base)]
-		if !ok {
+		reg := func(metric string, was, now, limit float64) {
 			regs = append(regs, Regression{
-				Workload: base.Workload, Protocol: base.Protocol,
-				Engine: base.Engine, Workers: base.Workers, Metric: "missing",
+				Workload: base.Workload, Protocol: base.Protocol, Engine: base.Engine,
+				Metric: metric, Baseline: was, Fresh: now, Limit: limit,
 			})
+		}
+		if !ok {
+			reg("missing", 0, 0, 0)
 			continue
 		}
+		if f.Cycles != base.Cycles {
+			reg("cycles", float64(base.Cycles), float64(f.Cycles), float64(base.Cycles))
+		}
+		if f.Ops != base.Ops {
+			reg("ops", float64(base.Ops), float64(f.Ops), float64(base.Ops))
+		}
 		if minRatio := tol.minOps(); minRatio > 0 && base.OpsPerSec > 0 {
-			limit := base.OpsPerSec * minRatio
-			if f.OpsPerSec < limit {
-				regs = append(regs, Regression{
-					Workload: base.Workload, Protocol: base.Protocol,
-					Engine: base.Engine, Workers: base.Workers,
-					Metric:   "ops_per_sec",
-					Baseline: base.OpsPerSec, Fresh: f.OpsPerSec, Limit: limit,
-				})
+			if limit := base.OpsPerSec * minRatio; f.OpsPerSec < limit {
+				reg("ops_per_sec", base.OpsPerSec, f.OpsPerSec, limit)
 			}
 		}
 		if tol.MaxAllocsGrowth >= 0 {
-			limit := tol.allocsLimit(base.AllocsPerOp)
-			if f.AllocsPerOp > limit {
-				regs = append(regs, Regression{
-					Workload: base.Workload, Protocol: base.Protocol,
-					Engine: base.Engine, Workers: base.Workers,
-					Metric:   "allocs_per_op",
-					Baseline: base.AllocsPerOp, Fresh: f.AllocsPerOp, Limit: limit,
-				})
+			if limit := tol.allocsLimit(base.AllocsPerOp); f.AllocsPerOp > limit {
+				reg("allocs_per_op", base.AllocsPerOp, f.AllocsPerOp, limit)
 			}
 		}
 	}
@@ -151,9 +152,6 @@ func Compare(baseline, fresh *Report, tol Tolerance) []Regression {
 		}
 		if a.Engine != b.Engine {
 			return a.Engine < b.Engine
-		}
-		if a.Workers != b.Workers {
-			return a.Workers < b.Workers
 		}
 		return a.Metric < b.Metric
 	})

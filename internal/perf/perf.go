@@ -25,14 +25,11 @@ type Run struct {
 	Workload string `json:"workload"`
 	Protocol string `json:"protocol"`
 	// Engine is the engine family the run executed ("legacy" or
-	// "partitioned"); Workers is how many goroutines drove it. Serial and
-	// parallel partitioned runs produce identical simulation results, so
-	// benchmarking both isolates what the worker goroutines cost or save
-	// on this host.
-	Engine  string `json:"engine,omitempty"`
-	Workers int    `json:"workers,omitempty"`
+	// "partitioned").
+	Engine string `json:"engine,omitempty"`
 	// Ops is the number of simulated memory operations (warmup + ROI);
-	// Cycles is the simulated region-of-interest length.
+	// Cycles is the simulated region-of-interest length. Both are
+	// deterministic, so a baseline check demands them exactly.
 	Ops    uint64 `json:"ops"`
 	Cycles uint64 `json:"cycles"`
 	// Host-side cost: wall time, simulated ops per wall-clock second, and
@@ -48,19 +45,18 @@ type Run struct {
 // Schema history:
 //
 //	1 — initial: environment + per-run wall/throughput/alloc measurements.
-//	2 — runs carry the engine mode and goroutine count; the report records
-//	    GOMAXPROCS, so a "parallel showed no speedup" number can be read
-//	    against how many CPUs the host actually offered.
+//	2 — runs carry the executed engine family and the report records
+//	    GOMAXPROCS. Runs written before the engine lost its worker
+//	    goroutines also carry a "workers" count; readers ignore it.
 type Report struct {
 	Schema    int    `json:"schema"`
 	Scale     string `json:"scale"`
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// GOMAXPROCS is the scheduler width the measurements ran under. On a
-	// 1-CPU host the parallel engine's workers time-slice one core, so
-	// parity (not speedup) between serial and parallel is the expected
-	// reading there.
+	// GOMAXPROCS is the scheduler width the measurements ran under. The
+	// simulation itself uses one goroutine; the rest of the width goes to
+	// the garbage collector's background workers.
 	GOMAXPROCS int   `json:"gomaxprocs"`
 	Runs       []Run `json:"runs"`
 }

@@ -164,7 +164,7 @@ func TestHammerRunsOnLegacyEngine(t *testing.T) {
 	rc := dve.RunConfig{
 		Cfg:        cfg,
 		MeasureOps: 5_000,
-		Engine:     dve.EngineParallel,
+		Engine:     dve.EngineAuto,
 		Source:     src,
 	}
 	if got := rc.ExecutedEngine(); got != "legacy" {

@@ -88,9 +88,9 @@ type CellKey struct {
 	Classify   bool            `json:"classify"`
 	Seed       int64           `json:"seed"`
 	// Engine is the executed engine family ("legacy" or "partitioned") —
-	// NOT the requested mode: serial and parallel execution of the
-	// partitioned engine are byte-identical and intentionally share a key,
-	// while legacy results live in their own universe.
+	// NOT the requested mode: an auto run that falls back to legacy shares
+	// a key with a forced legacy run, while partitioned results live in
+	// their own universe.
 	Engine string `json:"engine"`
 }
 

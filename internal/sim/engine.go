@@ -165,7 +165,7 @@ func (e *Engine) AtFn(when Cycle, h Handler, arg any, v uint64) {
 func (e *Engine) Pending() int { return e.size }
 
 // NextEventTime returns the cycle of the earliest pending event, or
-// ok=false on an empty queue. The parallel engine uses it to size epochs:
+// ok=false on an empty queue. The partitioned engine uses it to size epochs:
 // the global minimum across partitions anchors the lookahead window.
 func (e *Engine) NextEventTime() (Cycle, bool) {
 	if e.size == 0 {

@@ -1,4 +1,4 @@
-// Conservative parallel discrete-event simulation over engine partitions.
+// Conservative discrete-event simulation over engine partitions.
 //
 // A ParallelEngine owns one Engine per partition (one per socket in this
 // simulator) and runs them in lockstepped epochs. The lookahead invariant
@@ -10,17 +10,18 @@
 // observing each other, where T is the global minimum pending-event time.
 //
 // Cross-partition messages are not scheduled directly on the destination
-// engine (that would race); they accumulate in per-(src,dst) mailbox lanes
-// during the epoch and are merged at the barrier. The merge rule makes the
-// destination order deterministic regardless of worker interleaving: lanes
-// are concatenated in source order and stable-sorted by delivery time, so
-// ties break by (delivery time, source partition, send order within the
-// source). Destination sequence numbers are assigned in merge order, which
-// is identical whether the epoch ran on one goroutine or many — parallel
-// and serial partitioned runs are byte-identical by construction.
+// engine (their order there would depend on which partition ran first);
+// they accumulate in per-(src,dst) mailbox lanes during the epoch and are
+// merged at the barrier. Lanes are concatenated in source order and
+// stable-sorted by delivery time, so ties break by (delivery time, source
+// partition, send order within the source). Destination sequence numbers
+// are assigned in merge order.
+//
+// All partitions run on the caller's goroutine, one after another within
+// each epoch. A worker goroutine per partition measured slower than this
+// loop (DESIGN.md §5a), so the engine no longer has one; the name
+// ParallelEngine is kept from that design.
 package sim
-
-import "sync"
 
 // crossEvent is one mailbox entry: an absolute-time event bound for another
 // partition. Closure sends ride in fn; the typed fast path rides in (h,
@@ -35,35 +36,27 @@ type crossEvent struct {
 
 // ParallelEngine coordinates nparts calendar-queue partitions that may only
 // interact through CrossAt/CrossAtFn messages delayed by at least the
-// lookahead window.
+// lookahead window. The partitions run in lockstep epochs on one goroutine.
 type ParallelEngine struct {
-	parts   []*Engine
-	window  Cycle
-	workers int
+	parts  []*Engine
+	window Cycle
 
-	// lanes[src*n+dst] is the mailbox from src to dst. Each lane has a
-	// single writer (the goroutine running partition src) during an epoch
-	// and is drained by the coordinator at the barrier; the slices keep
-	// their capacity so the steady state appends without allocating.
+	// lanes[src*n+dst] is the mailbox from src to dst. Partition src's
+	// events append to it during an epoch and merge drains it at the
+	// barrier; the slices keep their capacity so the steady state appends
+	// without allocating.
 	lanes   [][]crossEvent
 	scratch []crossEvent
 
 	epochs uint64
 	stalls uint64
-
-	// Worker machinery for Run with workers > 1: one persistent goroutine
-	// per partition, fed epoch end times over its channel; closing the
-	// channels at the end of Run stops them (no goroutine outlives Run).
-	start []chan Cycle
-	wg    sync.WaitGroup
 }
 
-// NewParallelEngine returns a parallel engine with nparts fresh partitions
+// NewParallelEngine returns a partitioned engine with nparts fresh partitions
 // and the given lookahead window in cycles. The window must be at least 1
 // — a degenerate window means the config's link latency cannot bound
 // cross-partition visibility and the caller should fall back to a single
-// shared engine. Workers defaults to nparts; SetWorkers(1) forces the
-// serial epoch loop (same results by construction).
+// shared engine.
 func NewParallelEngine(nparts int, window Cycle) *ParallelEngine {
 	if nparts < 1 {
 		panic("sim: parallel engine needs at least one partition")
@@ -72,10 +65,9 @@ func NewParallelEngine(nparts int, window Cycle) *ParallelEngine {
 		panic("sim: lookahead window must be at least one cycle")
 	}
 	pe := &ParallelEngine{
-		parts:   make([]*Engine, nparts),
-		window:  window,
-		workers: nparts,
-		lanes:   make([][]crossEvent, nparts*nparts),
+		parts:  make([]*Engine, nparts),
+		window: window,
+		lanes:  make([][]crossEvent, nparts*nparts),
 	}
 	for i := range pe.parts {
 		pe.parts[i] = NewEngine()
@@ -94,24 +86,14 @@ func (pe *ParallelEngine) Parts() int { return len(pe.parts) }
 // distance CrossAt accepts.
 func (pe *ParallelEngine) Window() Cycle { return pe.window }
 
-// SetWorkers bounds the goroutines Run uses: n <= 1 selects the in-place
-// serial epoch loop, anything larger runs one goroutine per partition.
-// Results are identical either way; only wall-clock changes.
-func (pe *ParallelEngine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	pe.workers = n
-}
-
 // Epochs returns how many barrier-to-barrier windows Run executed. The
-// count is a pure function of the event trace (it does not depend on the
-// worker count), so it is safe to fold into deterministic statistics.
+// count is a pure function of the event trace, so it is safe to fold into
+// deterministic statistics.
 func (pe *ParallelEngine) Epochs() uint64 { return pe.epochs }
 
 // BarrierStalls counts partition-epochs in which a partition had no event
 // inside the window and idled at the barrier — the deterministic
-// load-imbalance signal (again independent of the worker count).
+// load-imbalance signal.
 func (pe *ParallelEngine) BarrierStalls() uint64 { return pe.stalls }
 
 // CrossAt enqueues fn for partition dst at absolute cycle when, sent from
@@ -183,26 +165,21 @@ func (pe *ParallelEngine) countStalls(end Cycle) {
 	}
 }
 
-// Run executes epochs until every partition's demanded work drains. With
-// workers > 1 each epoch runs the partitions on their own goroutines; the
-// mailbox merge happens at the barrier either way. It returns the largest
-// partition clock.
+// Run executes epochs until every partition's demanded work drains: each
+// epoch runs every partition up to the epoch's end, then merges the
+// mailboxes at the barrier. It returns the largest partition clock.
 func (pe *ParallelEngine) Run() Cycle {
-	if pe.workers > 1 && len(pe.parts) > 1 {
-		pe.runParallel()
-	} else {
-		for {
-			end, ok := pe.nextEpoch()
-			if !ok {
-				break
-			}
-			pe.epochs++
-			pe.countStalls(end)
-			for _, p := range pe.parts {
-				p.RunUntil(end)
-			}
-			pe.merge()
+	for {
+		end, ok := pe.nextEpoch()
+		if !ok {
+			break
 		}
+		pe.epochs++
+		pe.countStalls(end)
+		for _, p := range pe.parts {
+			p.RunUntil(end)
+		}
+		pe.merge()
 	}
 	var max Cycle
 	for _, p := range pe.parts {
@@ -213,47 +190,10 @@ func (pe *ParallelEngine) Run() Cycle {
 	return max
 }
 
-// runParallel is the worker-goroutine epoch loop. Lane writes happen on
-// worker goroutines during RunUntil and are read by the coordinator only
-// after wg.Wait, so the channel send / WaitGroup pair carries all the
-// happens-before edges the race detector needs.
-func (pe *ParallelEngine) runParallel() {
-	pe.start = make([]chan Cycle, len(pe.parts))
-	for i := range pe.parts {
-		ch := make(chan Cycle, 1)
-		pe.start[i] = ch
-		go func(p *Engine) {
-			for end := range ch {
-				p.RunUntil(end)
-				pe.wg.Done()
-			}
-		}(pe.parts[i])
-	}
-	for {
-		end, ok := pe.nextEpoch()
-		if !ok {
-			break
-		}
-		pe.epochs++
-		pe.countStalls(end)
-		pe.wg.Add(len(pe.start))
-		for _, ch := range pe.start {
-			ch <- end
-		}
-		pe.wg.Wait()
-		pe.merge()
-	}
-	for _, ch := range pe.start {
-		close(ch)
-	}
-	pe.start = nil
-}
-
 // merge drains every mailbox lane into its destination engine. For each
 // destination the lanes are concatenated in source order and stable-sorted
 // by delivery time (insertion sort: lanes are tiny and mostly sorted), so
-// the destination sequence order is (when, src, send order) — independent
-// of how the epoch was executed.
+// the destination sequence order is (when, src, send order).
 func (pe *ParallelEngine) merge() {
 	n := len(pe.parts)
 	for dst := 0; dst < n; dst++ {

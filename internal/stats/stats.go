@@ -74,11 +74,10 @@ type Counters struct {
 	// Dynamic protocol profile decisions.
 	EpochsAllow, EpochsDeny uint64
 
-	// Parallel-engine accounting. Both are pure functions of the event
-	// trace (independent of how many worker goroutines executed it), so
-	// they are safe in deterministic, byte-compared statistics: epochs is
-	// the number of lookahead windows executed; barrier stalls counts
-	// partition-epochs that had no event inside the window (the
+	// Partitioned-engine accounting. Both are pure functions of the event
+	// trace, so they are safe in deterministic, byte-compared statistics:
+	// epochs is the number of lookahead windows executed; barrier stalls
+	// counts partition-epochs that had no event inside the window (the
 	// load-imbalance signal). Zero on the legacy single-queue engine.
 	EngineEpochs        uint64
 	EngineBarrierStalls uint64

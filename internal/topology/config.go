@@ -184,6 +184,19 @@ func (c *Config) Cycles(ns float64) int {
 // InterSocketCyc returns the one-way socket link latency in cycles.
 func (c *Config) InterSocketCyc() int { return c.Cycles(c.InterSocketNs) }
 
+// CheckInterSocket reports an error unless InterSocketNs is a finite
+// latency that rounds to at least one cycle (and fits the cycle counter).
+// The link model and the partitioned engine's lookahead window both need a
+// positive latency; NaN, infinities and negative values would otherwise be
+// converted to nonsense cycle counts.
+func (c *Config) CheckInterSocket() error {
+	cyc := c.InterSocketNs*c.ClockGHz + 0.5
+	if !(cyc >= 1 && cyc < 1<<62) {
+		return fmt.Errorf("topology: inter-socket latency %v ns is not a finite latency of at least one cycle", c.InterSocketNs)
+	}
+	return nil
+}
+
 // TotalCores returns the core count across all sockets.
 func (c *Config) TotalCores() int { return c.Sockets * c.CoresPerSocket }
 

@@ -444,3 +444,41 @@ func TestCaptureFixesUpHeader(t *testing.T) {
 		t.Fatalf("captured header ops = %d, want %d", tr.Ops, n)
 	}
 }
+
+// FuzzTraceLoad feeds arbitrary bytes to Load. Any input either fails with
+// an error or yields a Source whose thread count is within [1, MaxThreads]
+// and whose every thread replays at least one operation; no input panics.
+// The seeds (one captured trace plus truncated and corrupted headers) run
+// under plain go test.
+func FuzzTraceLoad(f *testing.F) {
+	spec, _ := workload.ByName("fft", 4)
+	var buf bytes.Buffer
+	if _, err := Capture(&buf, spec, 64); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	f.Add(good)
+	f.Add(good[:len(good)-5]) // truncated mid-record
+	f.Add(good[:10])          // truncated header
+	for _, off := range []int{0, 4, 6, 7} {
+		bad := bytes.Clone(good)
+		bad[off] ^= 0xFF // magic, version, thread count (both bytes)
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		n := src.Threads()
+		if n < 1 || n > MaxThreads {
+			t.Fatalf("loaded %d threads, want [1, %d]", n, MaxThreads)
+		}
+		for tid := 0; tid < n; tid++ {
+			if src.Len(tid) == 0 {
+				t.Fatalf("thread %d loaded with no operations", tid)
+			}
+			src.Next(tid)
+		}
+	})
+}
