@@ -1,6 +1,7 @@
 package dve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -203,6 +204,26 @@ func TestEngineEquivalenceQuickCells(t *testing.T) {
 		})
 	}
 	checkEngineGolden(t, got, warmup, measure, true)
+}
+
+// TestParallelRunTwiceDeterminism runs the same cell twice on the
+// partitioned engine and demands byte-identical results: the mailbox merge
+// rule (when, src, send order) makes the event order, and so every
+// statistic, a pure function of the inputs.
+func TestParallelRunTwiceDeterminism(t *testing.T) {
+	spec := smallSpec("graph500")
+	first := runEngine(t, spec, topology.ProtoDeny, 20_000, 60_000)
+	second := runEngine(t, spec, topology.ProtoDeny, 20_000, 60_000)
+	if first.Engine != "partitioned" {
+		t.Fatalf("ran on %s, want partitioned", first.Engine)
+	}
+	f1, f2 := fingerprint(t, first), fingerprint(t, second)
+	if !bytes.Equal(f1, f2) {
+		t.Errorf("partitioned run not reproducible:\nfirst:  %s\nsecond: %s", f1, f2)
+	}
+	if first.Counters.EngineEpochs == 0 {
+		t.Error("partitioned run recorded no sync epochs")
+	}
 }
 
 // TestLegacyFallbackConfigs pins the partitionable() contract: each
