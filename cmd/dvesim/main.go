@@ -34,7 +34,6 @@ func main() {
 		coarse  = flag.Bool("coarse", false, "coarse-grain (region) replica directory")
 		oracle  = flag.Bool("oracle", false, "oracular replica directory (Fig 9 ceiling)")
 		baseCmp = flag.Bool("speedup", false, "also run the baseline and report speedup")
-		engineF = flag.String("engine", "auto", "simulation engine: auto|legacy")
 		list    = flag.Bool("list", false, "list benchmarks and exit")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
@@ -44,9 +43,8 @@ func main() {
 	if *rdSize < 1 {
 		usageError("-rd-entries must be at least 1, got %d", *rdSize)
 	}
-	mode, err := dve.ParseEngineMode(*engineF)
-	if err != nil {
-		usageError("%v", err)
+	if *ops == 0 {
+		usageError("-ops must be at least 1")
 	}
 
 	stopCPU, err := perf.StartCPUProfile(*cpuProf)
@@ -88,7 +86,6 @@ func main() {
 	cfg.Oracular = *oracle
 
 	rc := dve.RunConfig{Cfg: cfg, WarmupOps: *warmup, MeasureOps: *ops,
-		Engine:   mode,
 		Classify: p == topology.ProtoBaseline}
 	var tracer *telemetry.Tracer
 	if *traceEv != "" {
@@ -116,8 +113,7 @@ func main() {
 	if *baseCmp && p != topology.ProtoBaseline {
 		bcfg := topology.Default(topology.ProtoBaseline)
 		bcfg.InterSocketNs = *linkNs
-		base, err := dve.Run(spec, dve.RunConfig{Cfg: bcfg, WarmupOps: *warmup, MeasureOps: *ops,
-			Engine: mode})
+		base, err := dve.Run(spec, dve.RunConfig{Cfg: bcfg, WarmupOps: *warmup, MeasureOps: *ops})
 		if err != nil {
 			fatal(err)
 		}
@@ -142,12 +138,8 @@ func parseProtocol(s string) (topology.Protocol, error) {
 
 func printResult(res *dve.Result) {
 	c := &res.Counters
-	fmt.Printf("workload=%s protocol=%s engine=%s\n", res.Workload, res.Protocol, res.Engine)
+	fmt.Printf("workload=%s protocol=%s\n", res.Workload, res.Protocol)
 	fmt.Printf("ROI cycles            %d\n", res.Cycles)
-	if res.Counters.EngineEpochs > 0 {
-		fmt.Printf("sync epochs           %d (%d barrier stalls)\n",
-			res.Counters.EngineEpochs, res.Counters.EngineBarrierStalls)
-	}
 	fmt.Printf("ops                   %d (reads %d, writes %d)\n", c.Ops, c.Reads, c.Writes)
 	fmt.Printf("L1 hit rate           %.4f\n", rate(c.L1Hits, c.L1Hits+c.L1Misses))
 	fmt.Printf("LLC hit rate          %.4f  (MPKI %.2f)\n", rate(c.LLCHits, c.LLCHits+c.LLCMisses), c.MPKI())

@@ -62,16 +62,31 @@ func TestRejectsBadLinkLatency(t *testing.T) {
 	}
 }
 
-// TestRejectsRetiredEngineFlags: the worker-goroutine engine is gone, and
-// so are its spellings; asking for it is a usage error, not a silent
-// fallback.
+// TestRejectsRetiredEngineFlags: the simulator has one engine, so every
+// engine-selection flag is gone; asking for one is a usage error, not a
+// silent fallback.
 func TestRejectsRetiredEngineFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-parallel"}, {"-serial"}, {"-engine", "parallel"}, {"-engine", "serial"},
+		{"-parallel"}, {"-serial"}, {"-engine", "auto"}, {"-engine", "legacy"}, {"-engine", "parallel"},
 	} {
 		code, out := runMain(t, append(args, "-ops", "1000", "-warmup", "0")...)
 		if code != 2 {
 			t.Errorf("%v: exit status %d, want 2\n%s", args, code, out)
 		}
+		if !strings.Contains(out, "flag provided but not defined") {
+			t.Errorf("%v: output lacks the unknown-flag error:\n%s", args, out)
+		}
+	}
+}
+
+// TestRejectsZeroOps: a run needs a region of interest; -ops 0 is a usage
+// error (exit status 2), not a run-time failure.
+func TestRejectsZeroOps(t *testing.T) {
+	code, out := runMain(t, "-ops", "0", "-warmup", "0")
+	if code != 2 {
+		t.Fatalf("-ops 0: exit status %d, want 2\n%s", code, out)
+	}
+	if !strings.Contains(out, "-ops must be at least 1") {
+		t.Errorf("-ops 0: output lacks the usage error:\n%s", out)
 	}
 }

@@ -22,41 +22,18 @@ var scheduleMethods = map[string]bool{
 	"AtFn":             true,
 }
 
-// crossMethods are the sim.ParallelEngine cross-partition scheduling entry
-// points: they defer a callback into *another* partition's queue via the
-// epoch mailbox, so everything the closure-capture analyzers say about
-// Engine scheduling applies to them too (more so — the callback runs on a
-// different goroutine's partition).
-var crossMethods = map[string]bool{
-	"CrossAt":       true,
-	"CrossAtFn":     true,
-	"CrossSchedule": true,
-}
-
-// ScheduleCall reports whether call invokes one of the simulator's
-// scheduling entry points, returning the method name: a sim.Engine
-// scheduling method, or a sim.ParallelEngine cross-partition one.
+// ScheduleCall reports whether call invokes one of the sim.Engine
+// scheduling entry points, returning the method name.
 func ScheduleCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	engine := scheduleMethods[sel.Sel.Name]
-	cross := crossMethods[sel.Sel.Name]
-	if !engine && !cross {
+	if !ok || !scheduleMethods[sel.Sel.Name] {
 		return "", false
 	}
 	selection, ok := info.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal {
+	if !ok || selection.Kind() != types.MethodVal || !isNamed(selection.Recv(), "sim", "Engine") {
 		return "", false
 	}
-	if engine && isNamed(selection.Recv(), "sim", "Engine") {
-		return sel.Sel.Name, true
-	}
-	if cross && isNamed(selection.Recv(), "sim", "ParallelEngine") {
-		return sel.Sel.Name, true
-	}
-	return "", false
+	return sel.Sel.Name, true
 }
 
 // protocolStatePkgs are the packages whose types carry coherence, cache

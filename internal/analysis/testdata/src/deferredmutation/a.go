@@ -135,41 +135,3 @@ func closureLocal(eng *sim.Engine) {
 		e.Dirty = true // ok: closure-local state
 	})
 }
-
-// crossSplit is the grant/fill split across the partition boundary: the
-// grant is applied on the sending partition, the fill is deferred into the
-// destination partition's queue via the epoch mailbox. Worse than the
-// single-engine split — the half-applied window now spans two goroutines.
-func crossSplit(pe *sim.ParallelEngine, e *cache.Entry) {
-	e.State = cache.Modified
-	pe.CrossSchedule(0, 1, 4, func() {
-		e.Dirty = true // want `closure deferred via CrossSchedule mutates e\.Dirty`
-	})
-}
-
-// crossAtSplit catches the same shape through the absolute-time mailbox
-// entry point.
-func crossAtSplit(pe *sim.ParallelEngine, e *cache.Entry) {
-	e.Sharers = 0
-	pe.CrossAt(0, 1, 100, func() {
-		e.State = cache.Shared // want `closure deferred via CrossAt mutates e\.State`
-	})
-}
-
-// crossAllDeferred ships the whole transition to the destination
-// partition: nothing is half-applied on the sending side.
-func crossAllDeferred(pe *sim.ParallelEngine, e *cache.Entry) {
-	pe.CrossSchedule(0, 1, 4, func() {
-		e.State = cache.Modified
-		e.Dirty = true // ok: grant and fill both on the destination side
-	})
-}
-
-// partScheduleSplit reaches a partition's plain engine through Part():
-// the receiver is still a *sim.Engine, so the existing detection applies.
-func partScheduleSplit(pe *sim.ParallelEngine, e *cache.Entry) {
-	e.Owner = 1
-	pe.Part(0).Schedule(2, func() {
-		e.Dirty = true // want `closure deferred via Schedule mutates e\.Dirty`
-	})
-}

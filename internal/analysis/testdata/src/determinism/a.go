@@ -99,23 +99,3 @@ func sliceRange(xs []int, eng *sim.Engine) {
 		eng.Schedule(1, func() { _ = x }) // ok: slice iteration is ordered
 	}
 }
-
-func mapCrossSchedule(pe *sim.ParallelEngine, m map[int]int) {
-	for k := range m {
-		k := k
-		pe.CrossSchedule(0, 1, 1, func() { _ = k }) // want `CrossSchedule inside a map range`
-	}
-}
-
-func mapCrossAtFn(pe *sim.ParallelEngine, m map[int]*int, h sim.Handler) {
-	for _, v := range m {
-		pe.CrossAtFn(0, 1, 5, h, v, 0) // want `CrossAtFn inside a map range`
-	}
-}
-
-func sliceCrossSchedule(pe *sim.ParallelEngine, xs []int) {
-	for _, x := range xs {
-		x := x
-		pe.CrossSchedule(1, 0, 1, func() { _ = x }) // ok: slice iteration is ordered
-	}
-}

@@ -32,20 +32,3 @@ func (e *Engine) ScheduleDaemonFn(delay Cycle, h Handler, arg any, v uint64) {}
 
 // AtFn mirrors the typed fast path of At.
 func (e *Engine) AtFn(when Cycle, h Handler, arg any, v uint64) {}
-
-// ParallelEngine mirrors the cross-partition scheduling surface of
-// sim.ParallelEngine: per-socket partitions synchronized at link-latency
-// epochs, with a mailbox for events that cross the partition boundary.
-type ParallelEngine struct{ parts []*Engine }
-
-// Part returns partition i's engine.
-func (pe *ParallelEngine) Part(i int) *Engine { return pe.parts[i] }
-
-// CrossAt delivers fn to partition dst at absolute cycle when.
-func (pe *ParallelEngine) CrossAt(src, dst int, when Cycle, fn func()) {}
-
-// CrossAtFn mirrors the typed fast path of CrossAt.
-func (pe *ParallelEngine) CrossAtFn(src, dst int, when Cycle, h Handler, arg any, v uint64) {}
-
-// CrossSchedule delivers fn to partition dst, delay cycles from now.
-func (pe *ParallelEngine) CrossSchedule(src, dst int, delay Cycle, fn func()) {}

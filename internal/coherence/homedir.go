@@ -73,7 +73,7 @@ func newHomeDir(s *System, socket int) *HomeDir {
 		sys:         s,
 		socket:      socket,
 		entries:     make(map[topology.Line]int32, hint),
-		seqq:        cache.NewSequencer(s.Engs[socket], sim.Cycle(s.Cfg.DirLatencyCyc), cache.NewMSHR(0)),
+		seqq:        cache.NewSequencer(s.Eng, sim.Cycle(s.Cfg.DirLatencyCyc), cache.NewMSHR(0)),
 		degraded:    make(map[topology.Line]bool, hint/64),
 		repairFails: make(map[topology.Line]int, hint/64),
 	}
@@ -125,7 +125,7 @@ func (d *HomeDir) HasLine(l topology.Line) bool {
 
 func (d *HomeDir) dbg(l topology.Line, format string, args ...any) {
 	if d.sys.DebugLog != nil && l == d.sys.DebugLine {
-		d.sys.DebugLog("[%d] dir%d "+format, append([]any{d.sys.Engs[d.socket].Now(), d.socket}, args...)...)
+		d.sys.DebugLog("[%d] dir%d "+format, append([]any{d.sys.Eng.Now(), d.socket}, args...)...)
 	}
 }
 
@@ -157,7 +157,7 @@ func (d *HomeDir) classify(write bool, st cache.State) {
 	if !d.sys.Classify {
 		return
 	}
-	c := d.sys.Cnts[d.socket]
+	c := d.sys.Cnt
 	switch {
 	case !write && st == cache.Invalid:
 		c.PrivateRead++
@@ -185,7 +185,7 @@ func (d *HomeDir) remoteSocket() int { return (d.socket + 1) % d.sys.Cfg.Sockets
 // failing. cb runs at the home directory when data is available (or the
 // error was logged as DUE).
 func (d *HomeDir) readHomeMem(l topology.Line, cb func()) {
-	cnt := d.sys.Cnts[d.socket]
+	cnt := d.sys.Cnt
 	cnt.HomeReads++
 	if d.degraded[l] && d.sys.HasReplica(l) {
 		// Already degraded: funnel straight to the single working copy.
@@ -213,14 +213,14 @@ func (d *HomeDir) readHomeMem(l topology.Line, cb func()) {
 // times with doubling backoff. Transient and intermittent errors often
 // clear here without touching the replica.
 func (d *HomeDir) retryRead(l topology.Line, attempt int, backoff sim.Cycle, cb func()) {
-	cnt := d.sys.Cnts[d.socket]
+	cnt := d.sys.Cnt
 	if attempt >= readRetryMax {
 		d.recoverViaReplica(l, cb)
 		return
 	}
 	cnt.RetriedReads++
 	d.sys.rasEvent(EvRetry, d.socket, l)
-	d.sys.Engs[d.socket].Schedule(backoff, func() {
+	d.sys.Eng.Schedule(backoff, func() {
 		d.sys.MCs[d.socket].Read(topology.Addr(l), func(failed bool) {
 			if !failed {
 				cnt.RetrySuccesses++
@@ -237,7 +237,7 @@ func (d *HomeDir) retryRead(l topology.Line, attempt int, backoff sim.Cycle, cb 
 // the other socket, then kick off the in-place repair (rung 3) in the
 // background. Without a replica the error is a DUE.
 func (d *HomeDir) recoverViaReplica(l topology.Line, cb func()) {
-	cnt := d.sys.Cnts[d.socket]
+	cnt := d.sys.Cnt
 	if !d.sys.HasReplica(l) {
 		// No second basket: detected but uncorrectable.
 		cnt.DetectedUncorrect++
@@ -268,7 +268,7 @@ func (d *HomeDir) recoverViaReplica(l topology.Line, cb func()) {
 // demand read has already completed from the replica.
 func (d *HomeDir) repairHome(l topology.Line) {
 	a := topology.Addr(l)
-	cnt := d.sys.Cnts[d.socket]
+	cnt := d.sys.Cnt
 	cnt.RepairWrites++
 	d.sys.rasEvent(EvRepair, d.socket, l)
 	d.sys.MCs[d.socket].Write(a, func() {
@@ -325,27 +325,8 @@ func (d *HomeDir) dualWriteback(l topology.Line, undeny bool, done func()) {
 		d.sys.MCs[d.socket].Write(topology.Addr(l), done)
 		return
 	}
-	d.sys.Cnts[d.socket].DualWritebacks++
+	d.sys.Cnt.DualWritebacks++
 	r := d.remoteSocket()
-	if d.sys.Partitioned() {
-		// Partitioned: the replica write is posted. done may only fire on
-		// the home partition, so it follows the home write alone; the
-		// replica leg completes behind the FIFO link, which still orders it
-		// ahead of any later home-side transaction that could observe the
-		// replica copy (such a transaction pays the same link crossing).
-		d.sys.MCs[d.socket].Write(topology.Addr(l), done)
-		d.sys.repairAt(d.socket, topology.Addr(l))
-		d.sys.Link.Send(d.socket, noc.DataBytes, func() {
-			if undeny {
-				if a := d.replicaAgent(); a != nil {
-					a.HomeUndeny(l)
-				}
-			}
-			d.sys.MCs[r].Write(ra, func() {})
-			d.sys.repairAt(r, ra)
-		})
-		return
-	}
 	remaining := 2
 	part := func() {
 		remaining--
@@ -409,7 +390,7 @@ func (d *HomeDir) GETS(src int, l topology.Line, reply func()) {
 			e.state = cache.Owned
 			e.sharers[src] = true
 			e.sharers[d.socket] = true
-			d.sys.Engs[d.socket].Schedule(d.probeLat(), deliver)
+			d.sys.Eng.Schedule(d.probeLat(), deliver)
 
 		default:
 			// Remote side owns it; requester is the home LLC.
@@ -435,10 +416,9 @@ func (d *HomeDir) GETS(src int, l topology.Line, reply func()) {
 			// Baseline: downgrade the remote owner (M -> O), data crosses
 			// the link back to the requester at home.
 			d.sys.Link.Send(d.socket, noc.CtrlBytes, func() {
-				// Runs at the owner after the link crossing: the probe delay
-				// belongs to the owner's partition.
+				// Runs at the owner after the link crossing.
 				d.sys.LLCs[owner].Probe(l, false)
-				d.sys.Engs[owner].Schedule(d.probeLat(), func() {
+				d.sys.Eng.Schedule(d.probeLat(), func() {
 					d.sys.Link.Send(owner, noc.DataBytes, func() {
 						e.state = cache.Owned
 						e.sharers[d.socket] = true
@@ -549,9 +529,9 @@ func (d *HomeDir) GETX(src int, l topology.Line, needData bool, reply func()) {
 						if agent != nil && d.sys.HasReplica(l) {
 							agent.HomeInvalidate(l, ack)
 						} else {
-							// Post-link: the probe runs on the remote partition.
+							// Post-link: the probe runs at the remote socket.
 							d.sys.LLCs[remote].Probe(l, true)
-							d.sys.Engs[remote].Schedule(d.probeLat(), ack)
+							d.sys.Eng.Schedule(d.probeLat(), ack)
 						}
 					}
 					inv(func() {
@@ -562,14 +542,14 @@ func (d *HomeDir) GETX(src int, l topology.Line, needData bool, reply func()) {
 			if needData {
 				d.readHomeMem(l, done)
 			} else {
-				d.sys.Engs[d.socket].Schedule(0, done)
+				d.sys.Eng.Schedule(0, done)
 			}
 
 		case int(e.owner) == d.socket:
 			// Home LLC owns; requester is a remote baseline LLC.
 			d.sys.LLCs[d.socket].Probe(l, true)
 			grantTo()
-			d.sys.Engs[d.socket].Schedule(d.probeLat(), deliver)
+			d.sys.Eng.Schedule(d.probeLat(), deliver)
 
 		default:
 			// Remote side owns; requester is the home LLC.
@@ -589,9 +569,9 @@ func (d *HomeDir) GETX(src int, l topology.Line, needData bool, reply func()) {
 				return
 			}
 			d.sys.Link.Send(d.socket, noc.CtrlBytes, func() {
-				// Post-link: probe delay on the owner's partition.
+				// Post-link: probe delay at the owner.
 				d.sys.LLCs[owner].Probe(l, true)
-				d.sys.Engs[owner].Schedule(d.probeLat(), func() {
+				d.sys.Eng.Schedule(d.probeLat(), func() {
 					d.sys.Link.Send(owner, noc.DataBytes, func() {
 						grantTo()
 						reply() // home-socket requester: fill before release
@@ -723,8 +703,8 @@ func (d *HomeDir) ReplicaGETS(l topology.Line, reply func(dataShipped bool)) {
 			e.sharers[d.socket] = true
 			e.sharers[r] = true
 			d.sys.MCs[d.socket].Write(topology.Addr(l), func() {})
-			d.sys.Cnts[d.socket].DualWritebacks++
-			d.sys.Engs[d.socket].Schedule(d.probeLat(), func() {
+			d.sys.Cnt.DualWritebacks++
+			d.sys.Eng.Schedule(d.probeLat(), func() {
 				d.sys.Link.Send(d.socket, noc.DataBytes, func() { reply(true) })
 				release()
 			})
@@ -757,7 +737,7 @@ func (d *HomeDir) ReplicaGETX(l topology.Line, reply func(dataShipped bool)) {
 			// Invalidate the home LLC sharer, then control grant.
 			d.sys.LLCs[d.socket].Probe(l, true)
 			grant()
-			d.sys.Engs[d.socket].Schedule(d.probeLat(), func() {
+			d.sys.Eng.Schedule(d.probeLat(), func() {
 				d.sys.Link.Send(d.socket, noc.CtrlBytes, func() { reply(false) })
 				release()
 			})
@@ -765,7 +745,7 @@ func (d *HomeDir) ReplicaGETX(l topology.Line, reply func(dataShipped bool)) {
 			// Home LLC owns it dirty: invalidate + fetch; ship data.
 			d.sys.LLCs[d.socket].Probe(l, true)
 			grant()
-			d.sys.Engs[d.socket].Schedule(d.probeLat(), func() {
+			d.sys.Eng.Schedule(d.probeLat(), func() {
 				d.sys.Link.Send(d.socket, noc.DataBytes, func() { reply(true) })
 				release()
 			})

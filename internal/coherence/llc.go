@@ -42,15 +42,15 @@ func (c *LLC) Request(core int, write bool, l topology.Line, done func()) {
 	lat := sim.Cycle(c.sys.Cfg.LLCLatencyCyc)
 	e := c.store.Lookup(l)
 	if e != nil && (!write && e.State.Readable() || write && e.State.Writable()) {
-		c.sys.Cnts[c.socket].LLCHits++
+		c.sys.Cnt.LLCHits++
 		lat += c.localService(core, write, e)
 		c.sys.l1Fill(core, l, write)
-		c.sys.Engs[c.socket].Schedule(lat, done)
+		c.sys.Eng.Schedule(lat, done)
 		return
 	}
 	// Global transaction required.
-	c.sys.Cnts[c.socket].LLCMisses++
-	start := c.sys.Engs[c.socket].Now()
+	c.sys.Cnt.LLCMisses++
+	start := c.sys.Eng.Now()
 	c.mshr.Allocate(l)
 	needData := e == nil || !e.State.Readable() // S->M upgrades carry no data
 	// The miss span covers the whole global transaction; sp is zero (and
@@ -61,8 +61,8 @@ func (c *LLC) Request(core int, write bool, l topology.Line, done func()) {
 		sp = tr.Begin(telemetry.CompLLC, c.socket, "miss", uint64(l))
 	}
 	finish := func() {
-		lat := uint64(c.sys.Engs[c.socket].Now() - start)
-		cnt := c.sys.Cnts[c.socket]
+		lat := uint64(c.sys.Eng.Now() - start)
+		cnt := c.sys.Cnt
 		cnt.MemLatencySum += lat
 		cnt.MemCount++
 		cnt.MissLatency.Add(lat)
@@ -77,7 +77,7 @@ func (c *LLC) Request(core int, write bool, l topology.Line, done func()) {
 			w()
 		}
 	}
-	c.sys.Engs[c.socket].Schedule(lat, func() {
+	c.sys.Eng.Schedule(lat, func() {
 		if write {
 			c.issueGETX(l, needData, finish)
 		} else {
@@ -140,7 +140,7 @@ func (c *LLC) noteL1Fill(core int, l topology.Line, write bool) {
 // fill installs a granted line, evicting and writing back a victim if needed.
 func (c *LLC) fill(core int, write bool, l topology.Line) {
 	if c.sys.DebugLog != nil && l == c.sys.DebugLine {
-		c.sys.DebugLog("[%d] llc%d fill write=%v", c.sys.Engs[c.socket].Now(), c.socket, write)
+		c.sys.DebugLog("[%d] llc%d fill write=%v", c.sys.Eng.Now(), c.socket, write)
 	}
 	st := cache.Shared
 	if write {
@@ -183,7 +183,7 @@ func (c *LLC) evict(victim cache.Entry) {
 // report clean (e.g. a writeback already in flight).
 func (c *LLC) Probe(l topology.Line, invalidate bool) (dirty bool) {
 	if c.sys.DebugLog != nil && l == c.sys.DebugLine {
-		c.sys.DebugLog("[%d] llc%d probe inv=%v has=%v", c.sys.Engs[c.socket].Now(), c.socket, invalidate, c.store.Peek(l) != nil)
+		c.sys.DebugLog("[%d] llc%d probe inv=%v has=%v", c.sys.Eng.Now(), c.socket, invalidate, c.store.Peek(l) != nil)
 	}
 	e := c.store.Peek(l)
 	if e == nil {
@@ -273,7 +273,7 @@ func (c *LLC) issueGETS(l topology.Line, needData bool, done func()) {
 	case c.sys.Replicas[c.socket] != nil && c.sys.HasReplica(l):
 		c.sys.Replicas[c.socket].LocalGETS(l, needData, func(fromReplica bool) {
 			if fromReplica {
-				c.sys.Cnts[c.socket].ReplicaReads++
+				c.sys.Cnt.ReplicaReads++
 			}
 			done()
 		})

@@ -51,10 +51,7 @@ func (s *Scrubber) Start() {
 		// so repairs triggered by this interval's patrol reads are already
 		// applied when the next tick re-reads the same lines (instead of
 		// the next tick racing ahead of them in the event order).
-		// The patrol walks every socket's directory from one daemon, so
-		// scrubbing is a legacy-engine feature (partitioned runs fall
-		// back); Engs[0] is that single shared engine.
-		s.sys.Engs[0].ScheduleDaemon(s.interval, tick)
+		s.sys.Eng.ScheduleDaemon(s.interval, tick)
 		for di, d := range s.sys.Dirs {
 			lines := d.KnownLines()
 			if len(lines) == 0 {
@@ -68,7 +65,7 @@ func (s *Scrubber) Start() {
 			}
 		}
 	}
-	s.sys.Engs[0].ScheduleDaemon(s.interval, tick)
+	s.sys.Eng.ScheduleDaemon(s.interval, tick)
 }
 
 // Stop disarms the patrol daemon: the pending tick becomes a no-op and no

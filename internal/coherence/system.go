@@ -64,19 +64,10 @@ type ReplicaAgent interface {
 }
 
 // System wires together the cores, caches, directories, memory controllers
-// and interconnect of the simulated machine.
-//
-// The system is partition-aware: Engs holds one engine per socket and Cnts
-// one counter shard per socket. On the legacy single-queue engine every
-// slot aliases the same object, so indexing by socket is free; under a
-// sim.ParallelEngine (PE non-nil) the slots are distinct, every component
-// schedules and counts strictly on its own socket's slot, and the only
-// cross-socket channel is the Link's mailbox path.
+// and interconnect of the simulated machine. Every component of every
+// socket schedules on the one event queue Eng and counts into Cnt.
 type System struct {
-	Engs []*sim.Engine
-	// PE is the partitioned engine that owns Engs as its partitions, or nil
-	// when all Engs slots alias one single-queue engine.
-	PE   *sim.ParallelEngine
+	Eng  *sim.Engine
 	Cfg  *topology.Config
 	AMap *topology.AddrMap
 	Mesh *noc.Mesh
@@ -96,9 +87,8 @@ type System struct {
 	// fixed-function mapping replicates the entire memory (Section III).
 	ReplicaMap ReplicaMapper
 
-	// Cnts[s] is socket s's counter shard; Counters() folds the shards
-	// into the run-level view (a plain copy in the aliased legacy case).
-	Cnts []*stats.Counters
+	// Cnt holds the run's statistics.
+	Cnt *stats.Counters
 
 	// DebugLine/DebugLog: when set, protocol steps touching DebugLine are
 	// reported (test diagnostics only).
@@ -140,29 +130,11 @@ type System struct {
 
 	// accFree pools access-request records so the L1-miss path schedules
 	// without per-request closure allocations (LIFO reuse: deterministic).
-	// One pool per socket: a record is taken and recycled only by its own
-	// socket's partition.
-	accFree [][]*accessReq
+	accFree []*accessReq
 }
 
-// Partitioned reports whether the sockets run on separate engine
-// partitions (in which case all scheduling and counting must stay
-// socket-local and only the Link may cross).
-func (s *System) Partitioned() bool { return s.PE != nil }
-
-// Counters returns the run-level counter view: socket shards folded in
-// ascending socket order (deterministic), or a copy of the single shared
-// object in the legacy aliased case.
-func (s *System) Counters() stats.Counters {
-	if !s.Partitioned() {
-		return *s.Cnts[0]
-	}
-	var out stats.Counters
-	for _, c := range s.Cnts {
-		out.Merge(c)
-	}
-	return out
-}
+// Counters returns a copy of the run's statistics.
+func (s *System) Counters() stats.Counters { return *s.Cnt }
 
 // RAS event kinds reported through System.RASEvent, in escalation-ladder
 // order. Package ras journals them; the strings are stable output format.
@@ -212,77 +184,33 @@ func (s *System) RepairNote(socket int, a topology.Addr) {
 	s.repairAt(socket, a)
 }
 
-// New builds a system on the legacy single-queue engine: every Engs/Cnts
-// slot aliases one engine and one counter object. Replica agents are
-// attached afterwards (SetReplicaAgent) to keep this package independent
-// of the Dvé implementation.
+// New builds a system on a fresh engine. Replica agents are attached
+// afterwards (SetReplicaAgent) to keep this package independent of the Dvé
+// implementation.
 func New(cfg *topology.Config) (*System, error) {
-	eng := sim.NewEngine()
-	engs := make([]*sim.Engine, cfg.Sockets)
-	for i := range engs {
-		engs[i] = eng
-	}
-	cnt := &stats.Counters{}
-	cnts := make([]*stats.Counters, cfg.Sockets)
-	for i := range cnts {
-		cnts[i] = cnt
-	}
-	return build(cfg, engs, cnts, nil)
-}
-
-// NewPartitioned builds a system whose sockets run on the partitions of
-// pe: Engs[s] is partition s, Cnts[s] a distinct per-socket shard, and the
-// inter-socket link crosses partitions through pe's mailbox. pe must have
-// one partition per socket and a lookahead window no larger than the
-// link's minimum latency.
-func NewPartitioned(cfg *topology.Config, pe *sim.ParallelEngine) (*System, error) {
-	if pe.Parts() != cfg.Sockets {
-		return nil, fmt.Errorf("coherence: %d engine partitions for %d sockets", pe.Parts(), cfg.Sockets)
-	}
-	engs := make([]*sim.Engine, cfg.Sockets)
-	cnts := make([]*stats.Counters, cfg.Sockets)
-	for i := range engs {
-		engs[i] = pe.Part(i)
-		cnts[i] = &stats.Counters{}
-	}
-	s, err := build(cfg, engs, cnts, pe)
-	if err != nil {
-		return nil, err
-	}
-	if w := s.Link.MinLatency(); pe.Window() > w {
-		return nil, fmt.Errorf("coherence: lookahead window %d exceeds link minimum latency %d", pe.Window(), w)
-	}
-	return s, nil
-}
-
-func build(cfg *topology.Config, engs []*sim.Engine, cnts []*stats.Counters, pe *sim.ParallelEngine) (*System, error) {
 	// Validate before converting: a negative or NaN latency would wrap to a
 	// huge sim.Cycle and slip past the link's own minimum check.
 	if err := cfg.CheckInterSocket(); err != nil {
 		return nil, fmt.Errorf("coherence: %w", err)
 	}
+	eng := sim.NewEngine()
 	amap := topology.NewAddrMap(cfg)
-	link, err := noc.NewLink([2]*sim.Engine{engs[0], engs[cfg.Sockets-1]}, pe, sim.Cycle(cfg.InterSocketCyc()))
+	link, err := noc.NewLink([2]*sim.Engine{eng, eng}, nil, sim.Cycle(cfg.InterSocketCyc()))
 	if err != nil {
 		return nil, err
 	}
 	s := &System{
-		Engs: engs,
-		PE:   pe,
+		Eng:  eng,
 		Cfg:  cfg,
 		AMap: amap,
 		Mesh: noc.NewMesh(cfg.MeshRows, cfg.MeshCols, cfg.MeshHopCyc),
 		Link: link,
-		Cnts: cnts,
-	}
-	for _, c := range s.Cnts {
-		c.DRAMChannels = cfg.ChannelsPerSkt * cfg.Sockets
+		Cnt:  &stats.Counters{DRAMChannels: cfg.ChannelsPerSkt * cfg.Sockets},
 	}
 	s.Replicas = make([]ReplicaAgent, cfg.Sockets)
 	s.mcDead = make([]bool, cfg.Sockets)
-	s.accFree = make([][]*accessReq, cfg.Sockets)
 	for sk := 0; sk < cfg.Sockets; sk++ {
-		mc := mem.NewController(s.Engs[sk], cfg, amap, sk)
+		mc := mem.NewController(eng, cfg, amap, sk)
 		if cfg.Protocol == topology.ProtoIntelMirror {
 			mc.Mirror = true
 		}
@@ -310,12 +238,9 @@ func (s *System) SetTracer(t *telemetry.Tracer) {
 	if t == nil {
 		return
 	}
-	// A tracer binds one engine and one timeline, so tracing is a
-	// single-engine (legacy) feature; partitioned runs fall back to the
-	// legacy engine before attaching one.
 	s.Trace = t
-	t.Attach(s.Engs[0])
-	s.Engs[0].OnDispatch = t.EngineDispatch
+	t.Attach(s.Eng)
+	s.Eng.OnDispatch = t.EngineDispatch
 	s.Link.Trace = t
 	for sk, mc := range s.MCs {
 		mc.Trace = t
@@ -370,12 +295,12 @@ func (s *System) RawReplicaAddr(l topology.Line) (topology.Addr, bool) {
 func (s *System) KillSocketMemory(socket int, done func()) {
 	if s.mcDead[socket] {
 		if done != nil {
-			s.Engs[socket].Schedule(0, done)
+			s.Eng.Schedule(0, done)
 		}
 		return
 	}
 	s.MCs[socket].Kill()
-	s.Cnts[socket].SocketKills++
+	s.Cnt.SocketKills++
 	s.rasEvent(EvSocketKill, socket, 0)
 
 	// Count the demotions before flipping the flag so RawReplicaAddr and
@@ -391,7 +316,7 @@ func (s *System) KillSocketMemory(socket int, done func()) {
 	s.mcDead[socket] = true
 	s.anyDead = true
 	if demoted > 0 {
-		s.Cnts[socket].DemotedLines += demoted
+		s.Cnt.DemotedLines += demoted
 		s.rasEvent(EvDemote, socket, 0)
 	}
 
@@ -405,7 +330,7 @@ func (s *System) KillSocketMemory(socket int, done func()) {
 		return
 	}
 	if done != nil {
-		s.Engs[socket].Schedule(0, done)
+		s.Eng.Schedule(0, done)
 	}
 }
 
@@ -429,24 +354,22 @@ func (s *System) coreLatency(core int) sim.Cycle {
 // (and its grant callback) is pooled on the System, so the miss path costs
 // no per-request closure allocations.
 type accessReq struct {
-	s      *System
-	core   int
-	socket int
-	write  bool
-	line   topology.Line
-	done   func()
+	s     *System
+	core  int
+	write bool
+	line  topology.Line
+	done  func()
 	// grant is built once per record; it captures only the record itself.
 	grant func()
 }
 
-func (s *System) getAccessReq(socket int) *accessReq {
-	pool := s.accFree[socket]
-	if n := len(pool); n > 0 {
-		ar := pool[n-1]
-		s.accFree[socket] = pool[:n-1]
+func (s *System) getAccessReq() *accessReq {
+	if n := len(s.accFree); n > 0 {
+		ar := s.accFree[n-1]
+		s.accFree = s.accFree[:n-1]
 		return ar
 	}
-	ar := &accessReq{s: s, socket: socket}
+	ar := &accessReq{s: s}
 	ar.grant = func() {
 		// The L1 fill was applied at grant time (inside Request, so no
 		// probe can slip between the LLC grant and the L1 bookkeeping);
@@ -454,8 +377,8 @@ func (s *System) getAccessReq(socket int) *accessReq {
 		// before recycling: the record may be reissued before done fires.
 		sys, core, done := ar.s, ar.core, ar.done
 		ar.done = nil
-		sys.accFree[ar.socket] = append(sys.accFree[ar.socket], ar)
-		sys.Engs[ar.socket].Schedule(sys.coreLatency(core), done)
+		sys.accFree = append(sys.accFree, ar)
+		sys.Eng.Schedule(sys.coreLatency(core), done)
 	}
 	return ar
 }
@@ -471,8 +394,7 @@ func accessDispatch(arg any, _ uint64) {
 // completes. Reads complete when data reaches the core; writes complete when
 // write permission is held (stores retire into the L1).
 func (s *System) Access(core int, write bool, a topology.Addr, done func()) {
-	sk := s.SocketOf(core)
-	cnt := s.Cnts[sk]
+	cnt := s.Cnt
 	if write {
 		cnt.Writes++
 	} else {
@@ -487,14 +409,14 @@ func (s *System) Access(core int, write bool, a topology.Addr, done func()) {
 		if write {
 			e.Dirty = true
 		}
-		s.Engs[sk].Schedule(sim.Cycle(s.Cfg.L1LatencyCyc), done)
+		s.Eng.Schedule(sim.Cycle(s.Cfg.L1LatencyCyc), done)
 		return
 	}
 	cnt.L1Misses++
 	lat := sim.Cycle(s.Cfg.L1LatencyCyc) + s.coreLatency(core)
-	ar := s.getAccessReq(sk)
+	ar := s.getAccessReq()
 	ar.core, ar.write, ar.line, ar.done = core, write, line, done
-	s.Engs[sk].ScheduleFn(lat, accessDispatch, ar, 0)
+	s.Eng.ScheduleFn(lat, accessDispatch, ar, 0)
 }
 
 // l1Fill installs a line into a core's L1 after an LLC grant, updating the
@@ -551,7 +473,7 @@ func (s *System) probeL1(core int, line topology.Line, invalidate bool) (dirty b
 func (s *System) sendToHome(fromSocket int, l topology.Line, bytes int, fn func()) {
 	home := s.AMap.HomeSocketLine(l)
 	if fromSocket == home {
-		s.Engs[home].Schedule(0, fn)
+		s.Eng.Schedule(0, fn)
 		return
 	}
 	s.Link.Send(fromSocket, bytes, fn)
@@ -561,17 +483,11 @@ func (s *System) sendToHome(fromSocket int, l topology.Line, bytes int, fn func(
 func (s *System) replyFromHome(l topology.Line, toSocket int, bytes int, fn func()) {
 	home := s.AMap.HomeSocketLine(l)
 	if toSocket == home {
-		s.Engs[home].Schedule(0, fn)
+		s.Eng.Schedule(0, fn)
 		return
 	}
 	s.Link.Send(home, bytes, fn)
 }
 
-// Drain runs the engine(s) until all queued demanded events complete.
-func (s *System) Drain() {
-	if s.PE != nil {
-		s.PE.Run()
-		return
-	}
-	s.Engs[0].Run()
-}
+// Drain runs the engine until all queued demanded events complete.
+func (s *System) Drain() { s.Eng.Run() }

@@ -21,11 +21,11 @@ func newSys(p topology.Protocol) *System {
 // access runs one memory operation to completion and returns its latency.
 func access(t *testing.T, s *System, core int, write bool, a topology.Addr) sim.Cycle {
 	t.Helper()
-	start := s.Engs[0].Now()
+	start := s.Eng.Now()
 	done := false
 	var end sim.Cycle
-	s.Access(core, write, a, func() { done = true; end = s.Engs[0].Now() })
-	s.Engs[0].Run()
+	s.Access(core, write, a, func() { done = true; end = s.Eng.Now() })
+	s.Eng.Run()
 	if !done {
 		t.Fatalf("access to %#x never completed", a)
 	}
@@ -42,20 +42,20 @@ func TestL1HitAfterFill(t *testing.T) {
 	if second != sim.Cycle(s.Cfg.L1LatencyCyc) {
 		t.Fatalf("L1 hit latency = %d, want %d", second, s.Cfg.L1LatencyCyc)
 	}
-	if s.Cnts[0].L1Hits != 1 || s.Cnts[0].L1Misses != 1 {
-		t.Fatalf("L1 hits/misses = %d/%d", s.Cnts[0].L1Hits, s.Cnts[0].L1Misses)
+	if s.Cnt.L1Hits != 1 || s.Cnt.L1Misses != 1 {
+		t.Fatalf("L1 hits/misses = %d/%d", s.Cnt.L1Hits, s.Cnt.L1Misses)
 	}
 }
 
 func TestLLCHitAcrossCoresSameSocket(t *testing.T) {
 	s := newSys(topology.ProtoBaseline)
 	access(t, s, 0, false, 0)
-	misses := s.Cnts[0].LLCMisses
+	misses := s.Cnt.LLCMisses
 	access(t, s, 1, false, 0) // different core, same socket: LLC hit
-	if s.Cnts[0].LLCMisses != misses {
+	if s.Cnt.LLCMisses != misses {
 		t.Fatal("second core's read missed the shared LLC")
 	}
-	if s.Cnts[0].LLCHits == 0 {
+	if s.Cnt.LLCHits == 0 {
 		t.Fatal("no LLC hit recorded")
 	}
 }
@@ -117,7 +117,7 @@ func TestClassification(t *testing.T) {
 	access(t, s, 0, true, 4096) // GETX to I: private-read/write
 	access(t, s, 8, true, 0)    // GETX to S: read/write
 	access(t, s, 0, false, 0)   // GETS to M: read/write
-	c := s.Cnts[0]
+	c := s.Cnt
 	if c.PrivateRead != 1 || c.ReadOnly != 1 || c.PrivateReadWrite != 1 || c.ReadWrite != 2 {
 		t.Fatalf("classes = %d/%d/%d/%d, want 1/1/1/2",
 			c.PrivateRead, c.ReadOnly, c.ReadWrite, c.PrivateReadWrite)
@@ -145,10 +145,10 @@ func TestBaselineFaultIsDUE(t *testing.T) {
 	s := newSys(topology.ProtoBaseline)
 	s.MCs[0].FaultFn = func(a topology.Addr) bool { return true }
 	access(t, s, 0, false, 0)
-	if s.Cnts[0].DetectedUncorrect == 0 {
+	if s.Cnt.DetectedUncorrect == 0 {
 		t.Fatal("baseline fault not logged as DUE")
 	}
-	if s.Cnts[0].Recoveries != 0 {
+	if s.Cnt.Recoveries != 0 {
 		t.Fatal("baseline cannot recover without a replica")
 	}
 }
@@ -166,12 +166,12 @@ func (f *fakeAgent) LocalGETX(l topology.Line, needData bool, done func())     {
 func (f *fakeAgent) LocalPUTM(l topology.Line, done func())                    { done() }
 func (f *fakeAgent) HomeInvalidate(l topology.Line, ack func()) {
 	f.invs++
-	f.sys.Engs[0].Schedule(1, ack)
+	f.sys.Eng.Schedule(1, ack)
 }
 func (f *fakeAgent) HomeUndeny(l topology.Line) { f.undeny++ }
 func (f *fakeAgent) HomeFetch(l topology.Line, inv bool, ack func()) {
 	f.fetch++
-	f.sys.Engs[0].Schedule(1, ack)
+	f.sys.Eng.Schedule(1, ack)
 }
 func (f *fakeAgent) Drain(done func()) { done() }
 func (f *fakeAgent) DenyMode() bool    { return f.denyMode }
@@ -205,7 +205,7 @@ func TestUndenyOnWriteback(t *testing.T) {
 	if fa.undeny == 0 {
 		t.Fatal("writeback of a denied line never cleared the deny (RM leak)")
 	}
-	if s.Cnts[0].DualWritebacks == 0 {
+	if s.Cnt.DualWritebacks == 0 {
 		t.Fatal("replicated writeback did not update both copies")
 	}
 }
@@ -273,11 +273,11 @@ func TestScrubberFindsLatentErrors(t *testing.T) {
 	sc := NewScrubber(s, 10_000, 4)
 	sc.Start()
 	// Drive the daemon with RunUntil (no demand events pending).
-	s.Engs[0].RunUntil(s.Engs[0].Now() + 100_000)
+	s.Eng.RunUntil(s.Eng.Now() + 100_000)
 	if sc.ScrubbedLines == 0 {
 		t.Fatal("scrubber never ran")
 	}
-	if s.Cnts[0].Recoveries == 0 {
+	if s.Cnt.Recoveries == 0 {
 		t.Fatal("patrol scrub never found the latent error")
 	}
 	hit = false // "repaired"

@@ -97,7 +97,7 @@ func New(sys *coherence.System, socket int, mode Mode) *ReplicaDir {
 		regions:     make(map[uint64]bool),
 		owners:      make(map[topology.Line]bool),
 		fillPending: make(map[topology.Line][]func()),
-		seqq: cache.NewSequencer(sys.Engs[socket], sim.Cycle(cfg.DirLatencyCyc),
+		seqq: cache.NewSequencer(sys.Eng, sim.Cycle(cfg.DirLatencyCyc),
 			cache.NewMSHR(0)),
 		dirFetchLat: sim.Cycle(cfg.Cycles(cfg.TRCDns+cfg.TCLns)) +
 			10, // activate + CAS + burst for the in-memory directory line
@@ -164,7 +164,7 @@ func (rd *ReplicaDir) seq(name string, l topology.Line, fn func(release func()))
 // readReplicaMem reads the line's replica from this socket's local memory,
 // recovering via the home copy if the local ECC check fails.
 func (rd *ReplicaDir) readReplicaMem(l topology.Line, cb func()) {
-	cnt := rd.sys.Cnts[rd.socket]
+	cnt := rd.sys.Cnt
 	ra := rd.replicaAddr(l)
 	rd.sys.MCs[rd.socket].Read(ra, func(failed bool) {
 		if !failed {
@@ -226,7 +226,7 @@ func (rd *ReplicaDir) LocalGETS(l topology.Line, needData bool, done func(fromRe
 }
 
 func (rd *ReplicaDir) allowGETS(l topology.Line, fin func(bool)) {
-	cnt := rd.sys.Cnts[rd.socket]
+	cnt := rd.sys.Cnt
 	if rd.store.Lookup(l) {
 		cnt.ReplicaDirHits++
 		// A read grant or our own ownership record: the replica (or our
@@ -272,7 +272,7 @@ func (j *specJoin) specLanded() {
 // allowLineMiss pulls a read permission from the home directory, overlapping
 // a speculative local replica read with the round trip when enabled.
 func (rd *ReplicaDir) allowLineMiss(l topology.Line, fin func(bool)) {
-	cnt := rd.sys.Cnts[rd.socket]
+	cnt := rd.sys.Cnt
 	spec := rd.sys.Cfg.SpeculativeReads
 	var join *specJoin
 	if spec {
@@ -332,7 +332,7 @@ func (rd *ReplicaDir) allowRegionMiss(l topology.Line, fin func(bool)) {
 }
 
 func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
-	cnt := rd.sys.Cnts[rd.socket]
+	cnt := rd.sys.Cnt
 	cachedEntry := rd.store.Lookup(l)
 	var entryLat sim.Cycle
 	spec := false
@@ -353,7 +353,7 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 		join = &specJoin{}
 		rd.readReplicaMem(l, join.specLanded)
 	}
-	rd.sys.Engs[rd.socket].Schedule(entryLat, func() {
+	rd.sys.Eng.Schedule(entryLat, func() {
 		// Sample the durable entry when the fetch completes, not when it
 		// issues: a HomeInvalidate can land while the fetch (or the
 		// speculative read) is in flight, and its freshly installed RM
@@ -405,7 +405,7 @@ func (rd *ReplicaDir) denyGETS(l topology.Line, fin func(bool)) {
 // zero-latency insertion. It consults home state with oracle knowledge; only
 // genuinely-required transfers (home-side dirty data) pay latency.
 func (rd *ReplicaDir) oracleGETS(l topology.Line, fin func(bool)) {
-	cnt := rd.sys.Cnts[rd.socket]
+	cnt := rd.sys.Cnt
 	st, owner, _ := rd.home().Entry(l)
 	homeSocket := (rd.socket + 1) % rd.sys.Cfg.Sockets
 	if (st == cache.Modified || st == cache.Owned) && owner == homeSocket {
@@ -443,7 +443,7 @@ func (rd *ReplicaDir) LocalGETX(l topology.Line, needData bool, done func()) {
 				entryLat = rd.dirFetchLat
 			}
 		}
-		rd.sys.Engs[rd.socket].Schedule(entryLat, func() {
+		rd.sys.Eng.Schedule(entryLat, func() {
 			rd.sys.Link.Send(rd.socket, noc.CtrlBytes, func() {
 				rd.home().ReplicaGETX(l, func(dataShipped bool) {
 					rd.fillPending[l] = nil
@@ -486,7 +486,7 @@ func (rd *ReplicaDir) LocalPUTM(l topology.Line, done func()) {
 			return
 		}
 		delete(rd.owners, l)
-		rd.sys.Cnts[rd.socket].DualWritebacks++
+		rd.sys.Cnt.DualWritebacks++
 		remaining := 2
 		part := func() {
 			remaining--
@@ -564,7 +564,7 @@ func (rd *ReplicaDir) HomeInvalidate(l topology.Line, ack func()) {
 			}
 		}
 	}
-	rd.sys.Engs[rd.socket].Schedule(lat, ack)
+	rd.sys.Eng.Schedule(lat, ack)
 }
 
 // HomeUndeny implements coherence.ReplicaAgent: a home-side writeback
@@ -604,7 +604,7 @@ func (rd *ReplicaDir) HomeFetch(l topology.Line, invalidate bool, ack func()) {
 		}
 		rd.store.Insert(l)
 	}
-	rd.sys.Engs[rd.socket].Schedule(lat, ack)
+	rd.sys.Eng.Schedule(lat, ack)
 }
 
 // Drain implements coherence.ReplicaAgent: clear all replica-directory state
@@ -622,7 +622,7 @@ func (rd *ReplicaDir) Drain(done func()) {
 	for _, l := range rd.home().LinesOwnedBy(rd.socket) {
 		rd.owners[l] = true
 	}
-	rd.sys.Engs[rd.socket].Schedule(sim.Cycle(rd.sys.Cfg.DirLatencyCyc), done)
+	rd.sys.Eng.Schedule(sim.Cycle(rd.sys.Cfg.DirLatencyCyc), done)
 }
 
 // SetMode switches the protocol family, draining first. Entering allow

@@ -25,7 +25,7 @@ func do(t *testing.T, sys *coherence.System, core int, write bool, a topology.Ad
 	t.Helper()
 	ok := false
 	sys.Access(core, write, a, func() { ok = true })
-	sys.Engs[0].Run()
+	sys.Eng.Run()
 	if !ok {
 		t.Fatalf("access %#x never completed", a)
 	}
@@ -44,8 +44,8 @@ func TestDenyFirstReadIsLinkFree(t *testing.T) {
 	if sys.Link.Msgs() != 0 {
 		t.Fatalf("deny first read crossed the link (%d msgs)", sys.Link.Msgs())
 	}
-	if sys.Cnts[0].ReplicaReads != 1 {
-		t.Fatalf("replica reads = %d, want 1", sys.Cnts[0].ReplicaReads)
+	if sys.Cnt.ReplicaReads != 1 {
+		t.Fatalf("replica reads = %d, want 1", sys.Cnt.ReplicaReads)
 	}
 }
 
@@ -58,8 +58,8 @@ func TestAllowFirstReadPullsPermission(t *testing.T) {
 		t.Fatalf("allow first read sent %d link msgs, want 2 (ctrl pull)", sys.Link.Msgs())
 	}
 	// But the data itself came from the local replica.
-	if sys.Cnts[0].ReplicaReads != 1 {
-		t.Fatalf("replica reads = %d, want 1", sys.Cnts[0].ReplicaReads)
+	if sys.Cnt.ReplicaReads != 1 {
+		t.Fatalf("replica reads = %d, want 1", sys.Cnt.ReplicaReads)
 	}
 	// Second read: the entry is cached; fully local.
 	msgs := sys.Link.Msgs()
@@ -71,18 +71,18 @@ func TestAllowFirstReadPullsPermission(t *testing.T) {
 func TestSpeculativeReadAccounting(t *testing.T) {
 	sys, _ := newSystem(t, topology.ProtoAllow, Allow)
 	do(t, sys, 8, false, remoteAddr)
-	if sys.Cnts[0].SpecIssued != 1 {
-		t.Fatalf("spec issued = %d, want 1", sys.Cnts[0].SpecIssued)
+	if sys.Cnt.SpecIssued != 1 {
+		t.Fatalf("spec issued = %d, want 1", sys.Cnt.SpecIssued)
 	}
-	if sys.Cnts[0].SpecSquashed != 0 {
-		t.Fatalf("clean pull squashed %d", sys.Cnts[0].SpecSquashed)
+	if sys.Cnt.SpecSquashed != 0 {
+		t.Fatalf("clean pull squashed %d", sys.Cnt.SpecSquashed)
 	}
 	// Make the home side dirty; the next replica-side read must squash its
 	// speculative local read (data ships over the link).
 	do(t, sys, 0, true, remoteAddr+128)
 	do(t, sys, 8, false, remoteAddr+128)
-	if sys.Cnts[0].SpecSquashed != 1 {
-		t.Fatalf("squashed = %d, want 1 (home-dirty pull)", sys.Cnts[0].SpecSquashed)
+	if sys.Cnt.SpecSquashed != 1 {
+		t.Fatalf("squashed = %d, want 1 (home-dirty pull)", sys.Cnt.SpecSquashed)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestNoSpeculationWhenDisabled(t *testing.T) {
 	New(sys, 0, Allow)
 	New(sys, 1, Allow)
 	do(t, sys, 8, false, remoteAddr)
-	if sys.Cnts[0].SpecIssued != 0 {
+	if sys.Cnt.SpecIssued != 0 {
 		t.Fatal("speculation issued despite being disabled")
 	}
 }
@@ -123,7 +123,7 @@ func TestDualWritebackOnReplicaEviction(t *testing.T) {
 	for i := 1; i <= sys.Cfg.LLCWays+1; i++ {
 		do(t, sys, 8, false, remoteAddr+topology.Addr(uint64(i)*setStride*2))
 	}
-	if sys.Cnts[0].DualWritebacks == 0 {
+	if sys.Cnt.DualWritebacks == 0 {
 		t.Fatal("replica-side dirty eviction skipped the dual writeback")
 	}
 	// Both memory controllers saw the write.
@@ -137,10 +137,10 @@ func TestDenyRMBlocksReplicaRead(t *testing.T) {
 	// Home-side write installs RM at the replica directory.
 	do(t, sys, 0, true, remoteAddr)
 	sys.Link.Reset()
-	before := sys.Cnts[0].ReplicaReads
+	before := sys.Cnt.ReplicaReads
 	// Replica-side read must fetch through home (RM: replica stale).
 	do(t, sys, 8, false, remoteAddr)
-	if sys.Cnts[0].ReplicaReads != before {
+	if sys.Cnt.ReplicaReads != before {
 		t.Fatal("stale replica served a read while RM")
 	}
 	if sys.Link.Msgs() == 0 {
@@ -157,7 +157,7 @@ func TestModeSwitchPreservesSafety(t *testing.T) {
 	for _, rd := range rds {
 		rd.SetMode(Allow, func() { pending-- })
 	}
-	sys.Engs[0].Run()
+	sys.Eng.Run()
 	if pending != 0 {
 		t.Fatal("mode switch never completed")
 	}
@@ -166,9 +166,9 @@ func TestModeSwitchPreservesSafety(t *testing.T) {
 	}
 	// A replica-side read after the switch must NOT serve stale replica
 	// data: allow mode requires a pull, which fetches from the dirty owner.
-	before := sys.Cnts[0].ReplicaReads
+	before := sys.Cnt.ReplicaReads
 	do(t, sys, 8, false, remoteAddr)
-	if sys.Cnts[0].ReplicaReads != before {
+	if sys.Cnt.ReplicaReads != before {
 		t.Fatal("allow served the replica for a home-dirty line after a mode switch")
 	}
 	// And switching back to deny rebuilds the RM set from home state.
@@ -176,7 +176,7 @@ func TestModeSwitchPreservesSafety(t *testing.T) {
 	for _, rd := range rds {
 		rd.SetMode(Deny, func() { pending-- })
 	}
-	sys.Engs[0].Run()
+	sys.Eng.Run()
 	if pending != 0 {
 		t.Fatal("switch back never completed")
 	}
@@ -194,16 +194,16 @@ func TestCoarseGrainRegionGrantAndInvalidate(t *testing.T) {
 
 	// First replica-side read acquires a whole-region grant.
 	do(t, sys, 8, false, remoteAddr)
-	misses := sys.Cnts[0].ReplicaDirMisses
+	misses := sys.Cnt.ReplicaDirMisses
 	// Another line of the same 4KB region: region hit, no second pull.
 	do(t, sys, 8, false, remoteAddr+640)
-	if sys.Cnts[0].ReplicaDirMisses != misses {
+	if sys.Cnt.ReplicaDirMisses != misses {
 		t.Fatal("second line of a granted region missed")
 	}
 	// A home-side write anywhere in the region revokes it.
 	do(t, sys, 0, true, remoteAddr+128)
 	do(t, sys, 8, false, remoteAddr+1280)
-	if sys.Cnts[0].ReplicaDirMisses == misses {
+	if sys.Cnt.ReplicaDirMisses == misses {
 		t.Fatal("region survived a home-side exclusive request")
 	}
 }

@@ -41,15 +41,13 @@ func runSmall(t *testing.T, name string, p topology.Protocol) *Result {
 // count and panicked mid-run, and NaN hung.
 func TestRunRejectsBadLinkLatency(t *testing.T) {
 	for _, ns := range []float64{-5, 0, math.NaN(), math.Inf(1), 1e300} {
-		for _, mode := range []EngineMode{EngineAuto, EngineLegacy} {
-			cfg := topology.Default(topology.ProtoDeny)
-			cfg.InterSocketNs = ns
-			_, err := Run(smallSpec("fft"), RunConfig{Cfg: cfg, MeasureOps: 1_000, Engine: mode})
-			if err == nil {
-				t.Errorf("link %v ns on %s: run succeeded, want an error", ns, mode)
-			} else if !strings.Contains(err.Error(), "inter-socket latency") {
-				t.Errorf("link %v ns on %s: error %q does not name the latency", ns, mode, err)
-			}
+		cfg := topology.Default(topology.ProtoDeny)
+		cfg.InterSocketNs = ns
+		_, err := Run(smallSpec("fft"), RunConfig{Cfg: cfg, MeasureOps: 1_000})
+		if err == nil {
+			t.Errorf("link %v ns: run succeeded, want an error", ns)
+		} else if !strings.Contains(err.Error(), "inter-socket latency") {
+			t.Errorf("link %v ns: error %q does not name the latency", ns, err)
 		}
 	}
 }

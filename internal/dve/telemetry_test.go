@@ -16,11 +16,7 @@ func runTraced(t *testing.T, tr *telemetry.Tracer) *Result {
 		Cfg:        topology.Default(topology.ProtoDeny),
 		WarmupOps:  10_000,
 		MeasureOps: 30_000,
-		// Tracing binds one engine, so a traced run always falls back to
-		// the legacy engine; pin the untraced comparison leg to the same
-		// engine or the no-perturbation diff would compare across engines.
-		Engine:    EngineLegacy,
-		Telemetry: tr,
+		Telemetry:  tr,
 	}
 	res, err := Run(smallSpec("fft"), rc)
 	if err != nil {

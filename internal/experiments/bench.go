@@ -41,8 +41,6 @@ type benchKey struct {
 	GoVersion  string          `json:"go_version"`
 	GOOS       string          `json:"goos"`
 	GOARCH     string          `json:"goarch"`
-	// Engine is the requested mode ("auto" or "legacy").
-	Engine string `json:"engine"`
 	// GOMAXPROCS joins the key because wall time still depends on how many
 	// CPUs the host scheduler offers: the garbage collector's background
 	// workers run beside the single simulation goroutine.
@@ -51,7 +49,7 @@ type benchKey struct {
 
 // Bench measures the simulator's own performance: each matrix cell runs
 // serially under perf.Measure (parallel runs would pollute each other's
-// wall time and MemStats deltas) under r.Engine, and the measurements land
+// wall time and MemStats deltas), and the measurements land
 // in a perf.Report ready to be written as BENCH_<scale>.json, one row per
 // cell. With a cache configured, previously measured cells are replayed
 // from disk instead of re-run.
@@ -84,7 +82,6 @@ func (r Runner) benchOne(scaleName string, spec workload.Spec, cfg topology.Conf
 			GoVersion:  runtime.Version(),
 			GOOS:       runtime.GOOS,
 			GOARCH:     runtime.GOARCH,
-			Engine:     r.Engine.String(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 		})
 		if err != nil {
@@ -96,9 +93,9 @@ func (r Runner) benchOne(scaleName string, spec workload.Spec, cfg topology.Conf
 			return cached, nil
 		}
 	}
-	var res *dve.Result
 	var err error
 	run := perf.Measure(spec.Name, cfg.Protocol.String(), func() (uint64, uint64) {
+		var res *dve.Result
 		res, err = r.runOne(spec, cfg, false)
 		if err != nil {
 			return 0, 0
@@ -108,7 +105,6 @@ func (r Runner) benchOne(scaleName string, spec workload.Spec, cfg topology.Conf
 	if err != nil {
 		return perf.Run{}, err
 	}
-	run.Engine = res.Engine
 	if r.Cache != nil {
 		if err := r.Cache.Put(key, run); err != nil {
 			return perf.Run{}, err
@@ -122,15 +118,11 @@ func FormatBench(rep *perf.Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Simulator performance (%s scale, %s %s/%s, GOMAXPROCS=%d)\n",
 		rep.Scale, rep.GoVersion, rep.GOOS, rep.GOARCH, rep.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-12s %-14s %-14s %10s %12s %12s %12s\n",
-		"workload", "protocol", "engine", "wall ms", "kops/s", "allocs/op", "B/op")
+	fmt.Fprintf(&b, "%-12s %-14s %10s %12s %12s %12s\n",
+		"workload", "protocol", "wall ms", "kops/s", "allocs/op", "B/op")
 	for _, r := range rep.Runs {
-		eng := r.Engine
-		if eng == "" {
-			eng = "legacy" // pre-schema-2 cached entries
-		}
-		fmt.Fprintf(&b, "%-12s %-14s %-14s %10.1f %12.0f %12.2f %12.1f\n",
-			r.Workload, r.Protocol, eng, r.WallMS, r.OpsPerSec/1e3, r.AllocsPerOp, r.BytesPerOp)
+		fmt.Fprintf(&b, "%-12s %-14s %10.1f %12.0f %12.2f %12.1f\n",
+			r.Workload, r.Protocol, r.WallMS, r.OpsPerSec/1e3, r.AllocsPerOp, r.BytesPerOp)
 	}
 	return b.String()
 }

@@ -56,10 +56,6 @@ type Runner struct {
 	// Parallelism bounds concurrent simulations (each is single-threaded
 	// and deterministic). 0 means 8.
 	Parallelism int
-	// Engine selects the simulation engine for every cell (see
-	// dve.EngineMode). The default, dve.EngineAuto, partitions per socket
-	// when the configuration allows it.
-	Engine dve.EngineMode
 	// Workloads restricts the benchmark set (nil = the full Table III
 	// suite). Unknown names are an error, not a silent shrink: a typo must
 	// not quietly drop a column from a paper figure.
@@ -121,14 +117,13 @@ func (r Runner) suite() ([]workload.Spec, error) {
 func Suite() []workload.Spec { return workload.Suite(16) }
 
 // cellConfig builds the RunConfig for one cell — the single place the
-// runner's scale and engine choice turn into simulation parameters, so the
-// cache key and the actual run can never disagree about them.
+// runner's scale turns into simulation parameters, so the cache key and the
+// actual run can never disagree about them.
 func (r Runner) cellConfig(cfg topology.Config, classify bool) dve.RunConfig {
 	return dve.RunConfig{
 		Cfg:        cfg,
 		WarmupOps:  r.Scale.WarmupOps,
 		MeasureOps: r.Scale.MeasureOps,
-		Engine:     r.Engine,
 		Classify:   classify,
 	}
 }
@@ -139,13 +134,8 @@ func (r Runner) runOne(spec workload.Spec, cfg topology.Config, classify bool) (
 }
 
 // CellKey returns the content address of one simulation cell at the
-// runner's scale: the hash of everything the result is a function of. The
-// key carries the *executed* engine family, not the requested mode: an auto
-// run that cannot partition executes exactly what a legacy run does (one
-// cache entry serves both), while partitioned results live in their own
-// universe.
+// runner's scale: the hash of everything the result is a function of.
 func (r Runner) CellKey(spec workload.Spec, cfg topology.Config, classify bool) (results.Key, error) {
-	rc := r.cellConfig(cfg, classify)
 	return results.CellKey{
 		Workload:   spec,
 		Config:     cfg,
@@ -153,7 +143,6 @@ func (r Runner) CellKey(spec workload.Spec, cfg topology.Config, classify bool) 
 		MeasureOps: r.Scale.MeasureOps,
 		Classify:   classify,
 		Seed:       spec.Seed,
-		Engine:     rc.ExecutedEngine(),
 	}.Hash()
 }
 

@@ -322,8 +322,7 @@ func TestBenchCacheRoundTrip(t *testing.T) {
 }
 
 // TestBenchRowsUnique: a bench report holds one row per matrix cell, so a
-// baseline check can tell every row apart by (workload, protocol, engine).
-// canneal/dynamic cannot partition and is the one legacy row.
+// baseline check can tell every row apart by (workload, protocol).
 func TestBenchRowsUnique(t *testing.T) {
 	r := Runner{Scale: Scale{WarmupOps: 500, MeasureOps: 1_000}}
 	rep, err := r.Bench("tiny")
@@ -333,21 +332,14 @@ func TestBenchRowsUnique(t *testing.T) {
 	if len(rep.Runs) != len(benchMatrix) {
 		t.Errorf("%d bench rows for %d cells", len(rep.Runs), len(benchMatrix))
 	}
-	type rowID struct{ workload, protocol, engine string }
+	type rowID struct{ workload, protocol string }
 	seen := map[rowID]bool{}
-	legacy := 0
 	for _, run := range rep.Runs {
-		id := rowID{run.Workload, run.Protocol, run.Engine}
+		id := rowID{run.Workload, run.Protocol}
 		if seen[id] {
 			t.Errorf("duplicate bench row %+v", id)
 		}
 		seen[id] = true
-		if run.Engine == "legacy" {
-			legacy++
-		}
-	}
-	if legacy != 1 {
-		t.Errorf("%d legacy rows, want 1 (canneal/dynamic)", legacy)
 	}
 }
 

@@ -44,8 +44,7 @@ func TestMeshMetricProperty(t *testing.T) {
 	}
 }
 
-// sharedLink builds a single-engine link (both socket slots aliased), the
-// serial-mode shape every pre-partitioning caller used.
+// sharedLink builds a link on eng.
 func sharedLink(t *testing.T, eng *sim.Engine, latency sim.Cycle) *Link {
 	t.Helper()
 	l, err := NewLink([2]*sim.Engine{eng, eng}, nil, latency)
@@ -110,25 +109,19 @@ func TestLinkReset(t *testing.T) {
 	}
 }
 
-func TestLinkResetDir(t *testing.T) {
-	eng := sim.NewEngine()
-	l := sharedLink(t, eng, 10)
-	l.Send(0, CtrlBytes, func() {})
-	l.Send(1, DataBytes, func() {})
-	eng.Run()
-	l.ResetDir(0)
-	if l.Msgs() != 1 || l.Bytes() != DataBytes {
-		t.Fatalf("after ResetDir(0): msgs=%d bytes=%d, want the socket-1 send only", l.Msgs(), l.Bytes())
-	}
-}
-
 func TestLinkRejectsDegenerateLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	if _, err := NewLink([2]*sim.Engine{eng, eng}, nil, 0); err == nil {
-		t.Fatal("zero-cycle link latency accepted; the lookahead window would be degenerate")
+		t.Fatal("zero-cycle link latency accepted")
 	}
 	if _, err := NewLink([2]*sim.Engine{eng, nil}, nil, 10); err == nil {
 		t.Fatal("nil per-socket engine accepted")
+	}
+	if _, err := NewLink([2]*sim.Engine{eng, sim.NewEngine()}, nil, 10); err == nil {
+		t.Fatal("two different engines accepted")
+	}
+	if _, err := NewLink([2]*sim.Engine{eng, eng}, eng, 10); err == nil {
+		t.Fatal("non-nil partitioned engine accepted")
 	}
 }
 
@@ -144,31 +137,6 @@ func TestLinkMinLatency(t *testing.T) {
 	eng.Run()
 	if arrived < l.MinLatency() {
 		t.Fatalf("delivery at %d beat MinLatency %d", arrived, l.MinLatency())
-	}
-}
-
-// TestLinkCrossPartitionDelivery drives the mailbox path: two partitions,
-// a send from each side, deliveries land on the destination partition at
-// the same cycles the serial link would produce.
-func TestLinkCrossPartitionDelivery(t *testing.T) {
-	pe := sim.NewParallelEngine(2, 151)
-	l, err := NewLink([2]*sim.Engine{pe.Part(0), pe.Part(1)}, pe, 150)
-	if err != nil {
-		t.Fatalf("NewLink: %v", err)
-	}
-	var at0, at1 sim.Cycle
-	pe.Part(0).Schedule(0, func() {
-		l.Send(0, CtrlBytes, func() { at1 = pe.Part(1).Now() })
-	})
-	pe.Part(1).Schedule(0, func() {
-		l.Send(1, CtrlBytes, func() { at0 = pe.Part(0).Now() })
-	})
-	pe.Run()
-	if at0 != 151 || at1 != 151 {
-		t.Fatalf("cross deliveries at %d/%d, want 151/151", at0, at1)
-	}
-	if l.Msgs() != 2 {
-		t.Fatalf("msgs = %d, want 2", l.Msgs())
 	}
 }
 

@@ -23,12 +23,17 @@ func LoadReport(path string) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("perf: reading baseline: %w", err)
 	}
+	return decodeReport(path, b)
+}
+
+// decodeReport parses a report of any known schema; name labels errors.
+func decodeReport(name string, b []byte) (*Report, error) {
 	var rep Report
 	if err := json.Unmarshal(b, &rep); err != nil {
-		return nil, fmt.Errorf("perf: decoding %s: %w", path, err)
+		return nil, fmt.Errorf("perf: decoding %s: %w", name, err)
 	}
-	if rep.Schema < 1 || rep.Schema > 2 {
-		return nil, fmt.Errorf("perf: %s has unknown schema %d", path, rep.Schema)
+	if rep.Schema < 1 || rep.Schema > 3 {
+		return nil, fmt.Errorf("perf: %s has unknown schema %d", name, rep.Schema)
 	}
 	return &rep, nil
 }
@@ -73,7 +78,6 @@ func (t Tolerance) allocsLimit(baseline float64) float64 {
 type Regression struct {
 	Workload string
 	Protocol string
-	Engine   string
 	Metric   string // "cycles" | "ops" | "ops_per_sec" | "allocs_per_op" | "missing"
 	Baseline float64
 	Fresh    float64
@@ -82,9 +86,6 @@ type Regression struct {
 
 func (r Regression) String() string {
 	id := fmt.Sprintf("%s/%s", r.Workload, r.Protocol)
-	if r.Engine != "" {
-		id += fmt.Sprintf(" (%s)", r.Engine)
-	}
 	switch r.Metric {
 	case "missing":
 		return fmt.Sprintf("%s: present in baseline but not in the fresh run", id)
@@ -98,7 +99,7 @@ func (r Regression) String() string {
 
 // runKey identifies a run across reports.
 func runKey(r Run) string {
-	return fmt.Sprintf("%s|%s|%s", r.Workload, r.Protocol, r.Engine)
+	return r.Workload + "|" + r.Protocol
 }
 
 // Compare checks every baseline run against its counterpart in fresh and
@@ -117,7 +118,7 @@ func Compare(baseline, fresh *Report, tol Tolerance) []Regression {
 		f, ok := byKey[runKey(base)]
 		reg := func(metric string, was, now, limit float64) {
 			regs = append(regs, Regression{
-				Workload: base.Workload, Protocol: base.Protocol, Engine: base.Engine,
+				Workload: base.Workload, Protocol: base.Protocol,
 				Metric: metric, Baseline: was, Fresh: now, Limit: limit,
 			})
 		}
@@ -149,9 +150,6 @@ func Compare(baseline, fresh *Report, tol Tolerance) []Regression {
 		}
 		if a.Protocol != b.Protocol {
 			return a.Protocol < b.Protocol
-		}
-		if a.Engine != b.Engine {
-			return a.Engine < b.Engine
 		}
 		return a.Metric < b.Metric
 	})

@@ -8,7 +8,7 @@ import (
 
 func benchRun(w, p string, ops, allocs float64) Run {
 	return Run{
-		Workload: w, Protocol: p, Engine: "partitioned",
+		Workload: w, Protocol: p,
 		Ops: 170_000, Cycles: 997_667, OpsPerSec: ops, AllocsPerOp: allocs,
 	}
 }
@@ -43,7 +43,7 @@ func TestCompareCatchesRegressions(t *testing.T) {
 	if len(regs) != 3 {
 		t.Fatalf("expected 3 regressions, got %d: %v", len(regs), regs)
 	}
-	// Deterministic order: workload, protocol, engine, metric.
+	// Deterministic order: workload, protocol, metric.
 	if regs[0].Metric != "ops_per_sec" || regs[0].Workload != "fft" {
 		t.Fatalf("regs[0] = %+v", regs[0])
 	}

@@ -24,9 +24,6 @@ import (
 type Run struct {
 	Workload string `json:"workload"`
 	Protocol string `json:"protocol"`
-	// Engine is the engine family the run executed ("legacy" or
-	// "partitioned").
-	Engine string `json:"engine,omitempty"`
 	// Ops is the number of simulated memory operations (warmup + ROI);
 	// Cycles is the simulated region-of-interest length. Both are
 	// deterministic, so a baseline check demands them exactly.
@@ -48,6 +45,8 @@ type Run struct {
 //	2 — runs carry the executed engine family and the report records
 //	    GOMAXPROCS. Runs written before the engine lost its worker
 //	    goroutines also carry a "workers" count; readers ignore it.
+//	3 — runs lose the engine family: one engine executes every run.
+//	    Readers ignore an "engine" key in older reports.
 type Report struct {
 	Schema    int    `json:"schema"`
 	Scale     string `json:"scale"`
@@ -64,7 +63,7 @@ type Report struct {
 // NewReport returns an empty report stamped with the build environment.
 func NewReport(scale string) *Report {
 	return &Report{
-		Schema:     2,
+		Schema:     3,
 		Scale:      scale,
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,

@@ -12,7 +12,7 @@ import (
 type EngineConfig struct {
 	// Inject, when set, arms the dynamic fault injector.
 	Inject *InjectorConfig
-	// Static faults are planted before the run starts (the legacy
+	// Static faults are planted before the run starts (the original
 	// pre-run campaign style).
 	Static []fault.Fault
 	// KillSocket, when >= 0, kills that socket's memory controller at
@@ -58,8 +58,7 @@ func NewEngine(cfg EngineConfig, set *fault.Set) *Engine {
 }
 
 // Attach wires the engine into a freshly built system. It is shaped to be
-// used directly as dve.RunConfig.Prepare — and a Prepare hook forces the
-// legacy single-queue engine, so Engs[0] below is the one shared engine.
+// used directly as dve.RunConfig.Prepare.
 func (e *Engine) Attach(sys *coherence.System) {
 	e.amap = sys.AMap
 	e.Retired = rmt.NewTable(sys.Cfg.PageBytes)
@@ -69,7 +68,7 @@ func (e *Engine) Attach(sys *coherence.System) {
 
 	sys.RASEvent = func(kind string, socket int, l topology.Line) {
 		e.Journal.Append(Event{
-			Cycle:  uint64(sys.Engs[0].Now()),
+			Cycle:  uint64(sys.Eng.Now()),
 			Kind:   kind,
 			Socket: socket,
 			Line:   uint64(l),
@@ -81,7 +80,7 @@ func (e *Engine) Attach(sys *coherence.System) {
 		e.set.Add(f)
 	}
 	if e.cfg.Inject != nil {
-		e.Inj = NewInjector(*e.cfg.Inject, sys.Engs[0], e.set, sys.Cfg, e.Journal.Append)
+		e.Inj = NewInjector(*e.cfg.Inject, sys.Eng, e.set, sys.Cfg, e.Journal.Append)
 		e.Inj.Start()
 	}
 	if e.cfg.Hammer != nil {
@@ -90,7 +89,7 @@ func (e *Engine) Attach(sys *coherence.System) {
 	}
 	if e.cfg.KillSocket >= 0 {
 		socket := e.cfg.KillSocket
-		sys.Engs[0].ScheduleDaemon(sim.Cycle(e.cfg.KillAtCyc), func() {
+		sys.Eng.ScheduleDaemon(sim.Cycle(e.cfg.KillAtCyc), func() {
 			sys.KillSocketMemory(socket, nil)
 		})
 	}

@@ -47,8 +47,8 @@ type hammerFlip struct {
 
 // HammerState wires OnHammer crossings to fault injection and scores the
 // defense ladder by observing the run's RAS events. Crossings, flips, and
-// every observation run on the one legacy engine (a Prepare hook forces
-// it), so the bookkeeping needs no locking and is deterministic.
+// every observation run on the simulator's one event queue, so the
+// bookkeeping needs no locking and is deterministic.
 type HammerState struct {
 	sys         *coherence.System
 	set         *fault.Set
@@ -104,8 +104,8 @@ func (h *HammerState) attach() {
 // genuinely heals the cell, which is exactly the defense under measurement.
 func (h *HammerState) crossed(socket int, co topology.DRAMCoord) {
 	h.Crossings++
-	now := uint64(h.sys.Engs[0].Now())
-	cnt := h.sys.Cnts[socket]
+	now := uint64(h.sys.Eng.Now())
+	cnt := h.sys.Cnt
 	for _, vco := range topology.AdjacentRows(co) {
 		injected := 0
 		for slot := 0; slot < h.amap.RowLines() && injected < h.flipsPerRow; slot++ {
@@ -182,14 +182,14 @@ func (h *HammerState) observe(kind string, socket int, l topology.Line) {
 	if !ok {
 		return
 	}
-	cnt := h.sys.Cnts[socket]
+	cnt := h.sys.Cnt
 	_, live := h.set.Get(fl.id)
 	switch kind {
 	case coherence.EvDetect:
 		if live && !fl.detected {
 			fl.detected = true
 			cnt.HammerDetected++
-			cnt.HammerDetectLatency += uint64(h.sys.Engs[0].Now()) - fl.injectCyc
+			cnt.HammerDetectLatency += uint64(h.sys.Eng.Now()) - fl.injectCyc
 		}
 	case coherence.EvDUE:
 		if live {

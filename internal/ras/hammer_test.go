@@ -5,9 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"dve/internal/dve"
 	"dve/internal/topology"
-	"dve/internal/workload"
 )
 
 func hammerScenario(name string, proto topology.Protocol, intensity float64, scrub uint64) Scenario {
@@ -143,38 +141,5 @@ func TestHammerZeroIntensityByteIdentical(t *testing.T) {
 	}
 	if zrep.Cycles != prep.Cycles {
 		t.Errorf("zero-intensity cycles %d != unattacked cycles %d", zrep.Cycles, prep.Cycles)
-	}
-}
-
-// TestHammerRunsOnLegacyEngine pins the engine contract for hammer runs: an
-// external operation source (the aggressor interleaver) disqualifies the
-// partitioned engine, because aggressor reads deliberately cross sockets.
-func TestHammerRunsOnLegacyEngine(t *testing.T) {
-	cfg := topology.Default(topology.ProtoDeny)
-	spec, ok := workload.ByName("fft", cfg.TotalCores())
-	if !ok {
-		t.Fatal("fft workload missing")
-	}
-	src, err := workload.NewHammerSource(workload.HammerSpec{
-		Victim: spec, Intensity: 0.3, Seed: 1,
-	}, &cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := dve.RunConfig{
-		Cfg:        cfg,
-		MeasureOps: 5_000,
-		Engine:     dve.EngineAuto,
-		Source:     src,
-	}
-	if got := rc.ExecutedEngine(); got != "legacy" {
-		t.Fatalf("hammer RunConfig predicted engine %q, want legacy", got)
-	}
-	res, err := dve.Run(spec, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine != "legacy" {
-		t.Fatalf("hammer run executed on %q, want legacy", res.Engine)
 	}
 }

@@ -56,7 +56,9 @@ import (
 // (TraceDropped, FlightDumps) and the metrics snapshot two matching
 // series; earlier payloads would replay with those columns silently zero
 // and a shorter snapshot vector.
-const SchemaVersion = 5
+// History: 6 — cell keys lose the engine family: one engine executes every
+// cell, so the field no longer distinguishes anything.
+const SchemaVersion = 6
 
 // Key is a content-address: the stable hash of a result's full input set.
 type Key string
@@ -87,11 +89,6 @@ type CellKey struct {
 	MeasureOps uint64          `json:"measure_ops"`
 	Classify   bool            `json:"classify"`
 	Seed       int64           `json:"seed"`
-	// Engine is the executed engine family ("legacy" or "partitioned") —
-	// NOT the requested mode: an auto run that falls back to legacy shares
-	// a key with a forced legacy run, while partitioned results live in
-	// their own universe.
-	Engine string `json:"engine"`
 }
 
 // Hash returns the cell's content address.

@@ -164,22 +164,6 @@ func (e *Engine) AtFn(when Cycle, h Handler, arg any, v uint64) {
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.size }
 
-// NextEventTime returns the cycle of the earliest pending event, or
-// ok=false on an empty queue. The partitioned engine uses it to size epochs:
-// the global minimum across partitions anchors the lookahead window.
-func (e *Engine) NextEventTime() (Cycle, bool) {
-	if e.size == 0 {
-		return 0, false
-	}
-	if e.ringCount == 0 {
-		// Ring idle: the heap minimum is the global minimum.
-		return e.overflow[0].when, true
-	}
-	// Ring events all precede the overflow horizon (ringBase+ringSize),
-	// so the earliest ring event is the global minimum.
-	return e.nextEventCycle(), true
-}
-
 // Stop makes the current Run/RunUntil return after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 

@@ -74,11 +74,12 @@ type Counters struct {
 	// Dynamic protocol profile decisions.
 	EpochsAllow, EpochsDeny uint64
 
-	// Partitioned-engine accounting. Both are pure functions of the event
-	// trace, so they are safe in deterministic, byte-compared statistics:
-	// epochs is the number of lookahead windows executed; barrier stalls
-	// counts partition-epochs that had no event inside the window (the
-	// load-imbalance signal). Zero on the legacy single-queue engine.
+	// EngineEpochs and EngineBarrierStalls counted the epochs and idle
+	// partition-epochs of the per-socket partitioned engine, which is gone.
+	// Both always read 0; they stay in the JSON and the metrics snapshot so
+	// recorded fingerprints keep their shape.
+	//
+	// Deprecated: always 0.
 	EngineEpochs        uint64
 	EngineBarrierStalls uint64
 
@@ -95,10 +96,7 @@ type Counters struct {
 
 // Merge accumulates o into c. Every scalar event counter adds; the miss
 // latency histogram merges; DRAMChannels is a configuration echo (not an
-// event count) and is adopted from o when c has none. The per-socket
-// partitioned run uses this to fold socket-local counter shards into one
-// run-level view — always folding in ascending socket order, so the result
-// is deterministic.
+// event count) and is adopted from o when c has none.
 func (c *Counters) Merge(o *Counters) {
 	c.Cycles += o.Cycles
 	c.Ops += o.Ops

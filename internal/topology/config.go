@@ -186,9 +186,8 @@ func (c *Config) InterSocketCyc() int { return c.Cycles(c.InterSocketNs) }
 
 // CheckInterSocket reports an error unless InterSocketNs is a finite
 // latency that rounds to at least one cycle (and fits the cycle counter).
-// The link model and the partitioned engine's lookahead window both need a
-// positive latency; NaN, infinities and negative values would otherwise be
-// converted to nonsense cycle counts.
+// The link model needs a positive latency; NaN, infinities and negative
+// values would otherwise be converted to nonsense cycle counts.
 func (c *Config) CheckInterSocket() error {
 	cyc := c.InterSocketNs*c.ClockGHz + 0.5
 	if !(cyc >= 1 && cyc < 1<<62) {

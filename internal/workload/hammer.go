@@ -57,11 +57,9 @@ type HammerSpec struct {
 const probeOpsPerThread = 256
 
 // HammerSource implements the runner's OpSource: a victim generator plus
-// the aggressor ladder. Aggressor runs bind a global timeline (the ladder
-// cursor and the hammer counters live on shared state), so runs driven by a
-// HammerSource must execute on the legacy single-queue engine — which
-// dve.RunConfig guarantees, because any external Source disqualifies the
-// partitioned engine.
+// the aggressor ladder. The ladder cursor and the hammer counters are
+// shared by every thread; the simulator's one event queue orders their
+// updates, so a run is deterministic.
 type HammerSource struct {
 	victim    *Generator
 	intensity float64
