@@ -2,8 +2,10 @@ package coherence
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"dve/internal/cache"
 	"dve/internal/topology"
 )
 
@@ -54,18 +56,35 @@ func TestInvariantsCleanSystem(t *testing.T) {
 }
 
 // The audit must actually detect corruption (a checker that passes
-// everything checks nothing).
+// everything checks nothing). The exact report is pinned: the SWMR line
+// names the holders in socket order and each violating line appears once.
 func TestInvariantsDetectCorruption(t *testing.T) {
-	s := newSys(topology.ProtoBaseline)
-	access(t, s, 0, true, 0)  // socket 0 LLC holds line 0 in M
-	access(t, s, 8, true, 64) // socket 1 LLC holds line 64 in M
-
-	// Corrupt: force socket 1's LLC to also claim line 0 writable.
-	l := s.AMap.LineOf(0)
-	e, _, _ := s.LLCs[1].store.Insert(l, 3 /* cache.Modified */)
-	_ = e
-	v := s.CheckInvariants()
-	if len(v) == 0 {
-		t.Fatal("two writers of one line went undetected")
+	setup := func() (*System, topology.Line) {
+		s := newSys(topology.ProtoBaseline)
+		access(t, s, 0, true, 0)  // socket 0 LLC holds line 0 in M
+		access(t, s, 8, true, 64) // socket 1 LLC holds line 64 in M
+		return s, s.AMap.LineOf(0)
+	}
+	for _, tc := range []struct {
+		name  string
+		state cache.State // what socket 1's LLC is forced to claim for line 0
+		want  []string
+	}{
+		{"two writers", cache.Modified, []string{
+			"LLC 1 holds 0x0 in M but home dir says M/owner 0",
+			"SWMR: line 0x0 held by 2 writers / 0 readers (holders [{0 3} {1 3}]; home=0 dir=M owner=0 sharers=[true false])",
+		}},
+		{"writer plus reader", cache.Shared, []string{
+			"SWMR: line 0x0 held by 1 writers / 1 readers (holders [{0 3} {1 1}]; home=0 dir=M owner=0 sharers=[true false])",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, l := setup()
+			s.LLCs[1].store.Insert(l, tc.state)
+			got := s.CheckInvariants()
+			if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+				t.Fatalf("violations:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+			}
+		})
 	}
 }
