@@ -183,9 +183,7 @@ func TestMSHRLifecycle(t *testing.T) {
 	ran := []int{}
 	m.Defer(l, func() { ran = append(ran, 1) })
 	m.Defer(l, func() { ran = append(ran, 2) })
-	for _, fn := range m.Release(l) {
-		fn()
-	}
+	m.Release(l)
 	if len(ran) != 2 || ran[0] != 1 || ran[1] != 2 {
 		t.Fatalf("waiters ran %v, want [1 2]", ran)
 	}
@@ -237,4 +235,31 @@ func TestMSHRPanics(t *testing.T) {
 		}()
 		m.Release(line(3))
 	}()
+}
+
+// TestMSHRSteadyStateAllocs pins the zero-alloc contract of a contended
+// transaction once the table has warmed up: allocating a line, deferring a
+// waiter behind it and releasing it (which runs the waiter) reuses the
+// slot, the index and the waiter list.
+func TestMSHRSteadyStateAllocs(t *testing.T) {
+	m := NewMSHR(0)
+	ran := 0
+	waiter := func() { ran++ }
+	cycle := func() {
+		for i := uint64(0); i < 64; i++ {
+			m.Allocate(line(i))
+			m.Defer(line(i), waiter)
+			m.Defer(line(i), waiter)
+		}
+		for i := uint64(0); i < 64; i++ {
+			m.Release(line(i))
+		}
+	}
+	cycle() // AllocsPerRun adds one more unmeasured warm-up call
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("Allocate/Defer/Release cycle: %v allocs, want 0", a)
+	}
+	if ran != 2*64*102 || m.Inflight() != 0 {
+		t.Fatalf("ran %d waiters with %d lines in flight, want %d and 0", ran, m.Inflight(), 2*64*102)
+	}
 }

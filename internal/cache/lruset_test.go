@@ -36,8 +36,8 @@ func setOrder(t testing.TB, s *LRUSet) []topology.Line {
 		if s.prev[slot] != prev {
 			t.Fatalf("slot %d: prev %d, want %d", slot, s.prev[slot], prev)
 		}
-		if pos, got := s.find(s.lines[slot]); got != slot {
-			t.Fatalf("line %#x: index position %d names slot %d, want %d", s.lines[slot], pos, got, slot)
+		if got, _ := s.index.Get(s.lines[slot], s.lines); got != slot {
+			t.Fatalf("line %#x: index names slot %d, want %d", s.lines[slot], got, slot)
 		}
 		out = append(out, s.lines[slot])
 		prev = slot
@@ -52,8 +52,8 @@ func setOrder(t testing.TB, s *LRUSet) []topology.Line {
 		t.Fatalf("list holds %d, Len %d, free %d, capacity %d", len(out), s.Len(), len(s.free), len(s.lines))
 	}
 	indexed := 0
-	for _, slot := range s.index {
-		if slot >= 0 {
+	for _, pos := range s.index.tab {
+		if pos != 0 {
 			indexed++
 		}
 	}

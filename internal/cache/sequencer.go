@@ -73,9 +73,7 @@ func (q *Sequencer) get() *seqCall {
 		// out first. LIFO reuse keeps the allocation pattern deterministic.
 		l := c.l
 		q.free = append(q.free, c)
-		for _, w := range q.mshr.Release(l) {
-			w()
-		}
+		q.mshr.Release(l)
 	}
 	return c
 }

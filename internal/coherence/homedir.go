@@ -35,10 +35,10 @@ const (
 type HomeDir struct {
 	sys    *System
 	socket int
-	// entries maps a line to its slab slot; slabs hold the entry values.
-	// Entry i of lineOrder occupies slot i.
-	entries map[topology.Line]int32
-	slabs   [][]dirEntry
+	// index maps a line to its slab slot through lineOrder; slabs hold the
+	// entry values. Entry i of lineOrder occupies slot i.
+	index cache.LineIndex
+	slabs [][]dirEntry
 	// lineOrder lists tracked lines in first-touch order (for the patrol
 	// scrubber's deterministic walk).
 	lineOrder []topology.Line
@@ -72,7 +72,7 @@ func newHomeDir(s *System, socket int) *HomeDir {
 	return &HomeDir{
 		sys:         s,
 		socket:      socket,
-		entries:     make(map[topology.Line]int32, hint),
+		index:       cache.NewLineIndex(hint),
 		seqq:        cache.NewSequencer(s.Eng, sim.Cycle(s.Cfg.DirLatencyCyc), cache.NewMSHR(0)),
 		degraded:    make(map[topology.Line]bool, hint/64),
 		repairFails: make(map[topology.Line]int, hint/64),
@@ -85,7 +85,7 @@ func (d *HomeDir) at(i int32) *dirEntry {
 }
 
 func (d *HomeDir) entry(l topology.Line) *dirEntry {
-	if i, ok := d.entries[l]; ok {
+	if i, ok := d.index.Get(l, d.lineOrder); ok {
 		return d.at(i)
 	}
 	n := len(d.lineOrder)
@@ -94,15 +94,15 @@ func (d *HomeDir) entry(l topology.Line) *dirEntry {
 	}
 	sl := &d.slabs[n>>dirSlabBits]
 	*sl = append(*sl, dirEntry{state: cache.Invalid, owner: -1})
-	d.entries[l] = int32(n)
 	d.lineOrder = append(d.lineOrder, l)
+	d.index.Put(int32(n), d.lineOrder)
 	return &(*sl)[n&dirSlabMask]
 }
 
 // Entry returns a copy of the directory entry for tests and the oracular
 // replica directory (which consults home state with oracle knowledge).
 func (d *HomeDir) Entry(l topology.Line) (state cache.State, owner int, sharers [2]bool) {
-	i, ok := d.entries[l]
+	i, ok := d.index.Get(l, d.lineOrder)
 	if !ok {
 		return cache.Invalid, -1, [2]bool{}
 	}
@@ -119,7 +119,7 @@ func (d *HomeDir) DegradedLines() int { return len(d.degraded) }
 // victim-row bitflips on tracked lines so the flips are observable by
 // demand reads instead of rotting on never-read addresses.
 func (d *HomeDir) HasLine(l topology.Line) bool {
-	_, ok := d.entries[l]
+	_, ok := d.index.Get(l, d.lineOrder)
 	return ok
 }
 
@@ -636,7 +636,7 @@ func (d *HomeDir) GrantRegion(base topology.Line, nLines int) bool {
 	step := topology.Line(d.sys.Cfg.LineSizeBytes)
 	for i := 0; i < nLines; i++ {
 		l := base + topology.Line(i)*step
-		if idx, ok := d.entries[l]; ok {
+		if idx, ok := d.index.Get(l, d.lineOrder); ok {
 			e := d.at(idx)
 			if (e.state == cache.Modified || e.state == cache.Owned) && int(e.owner) == d.socket {
 				return false
@@ -663,7 +663,7 @@ func (d *HomeDir) OracleAddSharer(l topology.Line, socket int) {
 
 // LinesOwnedBy returns the lines currently owned (M/O) by the given socket
 // agent; the dynamic protocol's warmup uses it to rebuild the deny set.
-// Iterating lineOrder (first-touch order) instead of the entries map keeps
+// Iterating lineOrder (first-touch order) instead of the index keeps
 // the result — and every deny push scheduled from it — deterministic.
 func (d *HomeDir) LinesOwnedBy(socket int) []topology.Line {
 	var out []topology.Line

@@ -73,9 +73,7 @@ func (c *LLC) Request(core int, write bool, l topology.Line, done func()) {
 			tr.End(sp)
 		}
 		done()
-		for _, w := range c.mshr.Release(l) {
-			w()
-		}
+		c.mshr.Release(l)
 	}
 	c.sys.Eng.Schedule(lat, func() {
 		if write {

@@ -145,3 +145,26 @@ func TestHammerCrossingsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestNoteActivateAllocs pins the zero-alloc contract of row-hammer
+// tracking: once a window's rows have counters, each activation is one
+// index probe and an in-place increment.
+func TestNoteActivateAllocs(t *testing.T) {
+	_, mc, _ := setup(topology.ProtoBaseline)
+	mc.EnableRefresh()
+	const rows = 512
+	for r := uint64(0); r < rows; r++ {
+		mc.noteActivate(0, topology.DRAMCoord{Bank: int(r % 16), Row: r})
+	}
+	r := uint64(0)
+	activate := func() {
+		mc.noteActivate(0, topology.DRAMCoord{Bank: int(r % 16), Row: r % rows})
+		r++
+	}
+	if a := testing.AllocsPerRun(5000, activate); a != 0 {
+		t.Fatalf("noteActivate: %v allocs, want 0", a)
+	}
+	if got := mc.ActivationsInWindow(topology.DRAMCoord{Bank: 1, Row: 1}); got < 2 {
+		t.Fatalf("row 1 counted %d activations, want at least 2", got)
+	}
+}
