@@ -184,18 +184,21 @@ type envelope struct {
 // payload: the digest a stored envelope carries for these bytes. Exported
 // for the sweep fabric, which verifies it end-to-end across the
 // worker→coordinator upload so link corruption cannot poison the cache.
-func PayloadSum(b []byte) (string, error) { return payloadSum(b) }
+func PayloadSum(b []byte) (string, error) {
+	_, sum, err := canonicalPayload(b)
+	return sum, err
+}
 
-// payloadSum checksums the canonical (whitespace-compacted) form of a JSON
-// payload, so the digest is stable under any re-indentation the envelope
-// encoding may apply.
-func payloadSum(b []byte) (string, error) {
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, b); err != nil {
-		return "", err
+// canonicalPayload returns the canonical (whitespace-compacted) form of a
+// JSON payload and its checksum, so the digest is stable under any
+// re-indentation the envelope encoding may apply.
+func canonicalPayload(b []byte) (compact []byte, sum string, err error) {
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, b); err != nil {
+		return nil, "", err
 	}
-	sum := sha256.Sum256(compact.Bytes())
-	return hex.EncodeToString(sum[:]), nil
+	h := sha256.Sum256(buf.Bytes())
+	return buf.Bytes(), hex.EncodeToString(h[:]), nil
 }
 
 // read loads and validates the entry for key without touching counters.
@@ -206,16 +209,25 @@ func (s *Store) read(key Key) (payload []byte, exists, ok bool) {
 	if err != nil {
 		return nil, false, false
 	}
+	payload, ok = decodeEnvelope(b, key)
+	return payload, true, ok
+}
+
+// decodeEnvelope validates an entry file's bytes as the envelope of key and
+// returns its payload in the canonical (whitespace-compacted) form the
+// checksum covers. Any damage — bad JSON, a schema or key mismatch, a
+// checksum failure — is a miss, never an error or a panic.
+func decodeEnvelope(b []byte, key Key) (payload []byte, ok bool) {
 	var env envelope
 	if err := json.Unmarshal(b, &env); err != nil ||
 		env.Schema != SchemaVersion || env.Key != key {
-		return nil, true, false
+		return nil, false
 	}
-	sum, err := payloadSum(env.Payload)
+	compact, sum, err := canonicalPayload(env.Payload)
 	if err != nil || sum != env.Sum {
-		return nil, true, false
+		return nil, false
 	}
-	return env.Payload, true, true
+	return compact, true
 }
 
 func (s *Store) miss(corrupt bool) {
@@ -264,7 +276,7 @@ func (s *Store) Put(key Key, v any) error {
 	if err != nil {
 		return fmt.Errorf("results: encoding payload: %w", err)
 	}
-	sum, err := payloadSum(payload)
+	sum, err := PayloadSum(payload)
 	if err != nil {
 		return fmt.Errorf("results: encoding payload: %w", err)
 	}

@@ -1,6 +1,7 @@
 package results
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -299,4 +300,40 @@ func TestOpenSweepsOrphanTempFiles(t *testing.T) {
 	if !strings.Contains(s2.Stats().String(), "swept=2") {
 		t.Fatalf("stats string %q missing sweep count", s2.Stats().String())
 	}
+}
+
+// FuzzEnvelope feeds arbitrary bytes to the envelope decoder as the entry
+// of one key. Every input must decode to a miss or to exactly the payload
+// Put stored under that key — never a panic, never other bytes.
+func FuzzEnvelope(f *testing.F) {
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := Key(strings.Repeat("ab", 32))
+	if err := s.Put(key, testPayload()); err != nil {
+		f.Fatal(err)
+	}
+	stored, err := os.ReadFile(s.Path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	want, err := json.Marshal(testPayload())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if got, ok := decodeEnvelope(stored, key); !ok || string(got) != string(want) {
+		f.Fatalf("the envelope Put wrote decodes to %q, %v; want the marshalled payload", got, ok)
+	}
+	f.Add(stored)
+	f.Add(stored[:len(stored)/2])
+	flipped := append([]byte(nil), stored...)
+	flipped[len(flipped)*2/3] ^= 0x04
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, ok := decodeEnvelope(b, key)
+		if ok && string(got) != string(want) {
+			t.Fatalf("decoded a payload other than the stored one:\n%s", got)
+		}
+	})
 }
