@@ -954,15 +954,25 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	reg.Counter("dveserve_log_sink_failures_total", "structured log events a sink refused",
 		func() float64 { return float64(m.LogSinkFails) })
 	reg.LabeledGauge("dveserve_node_inflight", "leases held right now, by fabric node", "node",
-		func() []telemetry.LabeledValue { return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Inflight) }) })
+		func() []telemetry.LabeledValue {
+			return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Inflight) })
+		})
 	reg.LabeledGauge("dveserve_node_leased", "leases ever granted, by fabric node", "node",
-		func() []telemetry.LabeledValue { return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Leased) }) })
+		func() []telemetry.LabeledValue {
+			return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Leased) })
+		})
 	reg.LabeledGauge("dveserve_node_completed", "cells completed, by fabric node", "node",
-		func() []telemetry.LabeledValue { return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Completed) }) })
+		func() []telemetry.LabeledValue {
+			return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Completed) })
+		})
 	reg.LabeledGauge("dveserve_node_failed", "cell failures, by fabric node", "node",
-		func() []telemetry.LabeledValue { return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Failed) }) })
+		func() []telemetry.LabeledValue {
+			return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return float64(n.Failed) })
+		})
 	reg.LabeledGauge("dveserve_node_healthy", "1 while the node is inside its liveness window", "node",
-		func() []telemetry.LabeledValue { return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return b2f(n.Healthy) }) })
+		func() []telemetry.LabeledValue {
+			return nodeSamples(m.Nodes, func(n NodeMetrics) float64 { return b2f(n.Healthy) })
+		})
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	reg.WritePrometheus(w)
 }
