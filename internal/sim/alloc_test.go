@@ -2,16 +2,15 @@ package sim
 
 import "testing"
 
-// The engine's zero-alloc contract: once bucket and free-list capacity has
-// grown to the working set, scheduling and dispatching events allocates
-// nothing. These tests pin that with testing.AllocsPerRun so a regression
+// The engine's zero-alloc contract: once the event slab and the overflow
+// heap have grown to the working set, scheduling and dispatching events
+// allocates nothing. These tests pin that with testing.AllocsPerRun so a regression
 // (say, reintroducing per-event boxing) fails loudly instead of quietly
 // slowing every experiment.
 //
 // Each batch ends with an event exactly one ring revolution after its start,
-// so every batch lands in the same calendar buckets and the single warm-up
-// batch grows all the capacity the measured batches need. (A real simulation
-// reaches the same steady state by warming buckets as time wraps the ring.)
+// so every batch has the same ring/overflow split and the single warm-up
+// batch grows all the capacity the measured batches need.
 
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
